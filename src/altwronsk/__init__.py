@@ -3,10 +3,11 @@
 Composing 2p derivative operators of strict order p, each weighted by a
 function, and summing over all orderings with permutation signs yields a
 single operator: a universal constant times the Wronskian of the weights
-times the p-th derivative. This package computes those constants exactly by
-enumerating the contributing permutations with a pruned backtracking search
-and evaluating a falling-factorial product per permutation, and verifies
-them against a literal symbolic-operator expansion.
+times the p-th derivative. This package computes those constants exactly
+with a dynamic program over the sets of placed values (``subset_dp``),
+cross-checks it with a pruned backtracking walk that evaluates a
+falling-factorial product per contributing permutation, and verifies both
+against a literal symbolic-operator expansion.
 """
 
 from .engine import (
@@ -17,6 +18,7 @@ from .engine import (
     falling_factorial,
     ratios,
     render_ratio,
+    subset_dp,
     term_coefficient,
     wronskian_of_monomials,
 )
@@ -95,6 +97,7 @@ __all__ = [
     "run_task",
     "run_task_counting",
     "sign",
+    "subset_dp",
     "suffix_partial_sums",
     "symbolic_wronskian",
     "term_coefficient",

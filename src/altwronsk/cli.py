@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -58,7 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("const", help="compute the constant for one p")
     p_const.add_argument("--p", type=_positive, required=True)
-    p_const.add_argument("--workers", type=_positive, default=os.cpu_count() or 1)
+    p_const.add_argument(
+        "--workers", type=_positive, default=1,
+        help="1 (default): the subset DP in one process; more: the pruned "
+             "walk over the contributing set, split over that many processes")
     p_const.add_argument("--format", choices=FORMATS, default="human")
     p_const.add_argument("--no-progress", action="store_true",
                          help="suppress progress lines on stderr")
@@ -190,9 +192,8 @@ def _human_const(report: ConstReport) -> list[str]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    workers = os.cpu_count() or 1
     reports = [
-        const_of_p(p, workers=workers, progress=not args.no_progress)
+        const_of_p(p, progress=not args.no_progress)
         for p in range(1, args.max_p + 1)
     ]
     records = [report.to_record() for report in reports]
@@ -258,7 +259,7 @@ def _verify_oracle(args):
     if args.p > 4 and not args.slow:
         return _refuse(f"oracle mode sums {math.factorial(2 * args.p)} "
                        f"operator compositions at p={args.p}")
-    engine_value = const_of_p(args.p, workers=os.cpu_count() or 1).const_p
+    engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
     line = (f"{'PASS' if passed else 'FAIL'} oracle p={args.p}: "
@@ -331,7 +332,7 @@ def _verify_oeis(args):
 
 
 def _verify_parity(args):
-    report = const_of_p(args.p, workers=os.cpu_count() or 1)
+    report = const_of_p(args.p)
     gap = report.even_count - report.odd_count
     expected_gap = 1 if args.p % 2 else -1  # even perms lead at odd p
     passed = gap == expected_gap

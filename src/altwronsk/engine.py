@@ -4,14 +4,25 @@ For N = 2p monomial weights 1, x, ..., x^(N-1), the term of a contributing
 permutation is a product of falling factorials of its running exponents, and
 the signed sum of those terms over the whole contributing set is an exact
 integer multiple of the monomial Wronskian 0! * 1! * ... * (N-1)!. The
-quotient is the universal constant this package computes. Everything here is
-arbitrary-precision integer arithmetic; a division that leaves a remainder is
-an implementation bug, never valid data, and raises ``ExactDivisionError``.
+quotient is the universal constant this package computes.
+
+The default evaluation, ``subset_dp``, is a dynamic program over the sets of
+placed values: a running exponent and the sign picked up by one placement
+depend only on which values are already placed, not on their order, so the
+sum over orderings collapses layer by layer (one layer per set size). The
+pruned walk of ``parallel.compute`` evaluates the same sum permutation by
+permutation and stays available as the cross-check: ``const_of_p`` runs it
+when ``workers > 1`` or a split ``depth`` is given. Everything here is
+arbitrary-precision integer arithmetic; a division that leaves a remainder
+is an implementation bug, never valid data, and raises
+``ExactDivisionError``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,17 +135,80 @@ def _format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def subset_dp(p: int, progress: bool = False) -> parallel.PartialResult:
+    """The contributing-set sum by a DP over the sets of placed values.
+
+    Returns the same ``PartialResult`` as ``parallel.compute(p)``. Values
+    1..2p-1 are placed right to left, as in the walk. For a set ``mask`` of
+    placed values, the running sum t = sum(v - p) is fixed by the set, so
+    placing ``v`` next is allowed iff t + v - p >= 0, its factor
+    fall[t + v] depends only on the new set, and it flips the sign iff an
+    odd number of placed values lie below ``v``. Each layer maps a set of
+    k values to (t, signed weight, signed count, count) summed over all
+    allowed orderings of it, and is built by pulling from the layer below:
+    a set's orderings end in one of its values ``v`` with v <= t + p (so
+    that the set without ``v`` had t >= 0). Each set is generated once, by
+    adding its smallest value to the rest, whose t is never negative.
+
+    With ``progress`` set, prints "layer k/2p-1, S states" to stderr at
+    most once per ``parallel.PROGRESS_INTERVAL_S``.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    fall = parallel._falling_factorials(p)
+    n = 2 * p
+    layer = {0: (0, 1, 1, 1)}
+    last_report = time.monotonic()
+    for k in range(1, n):
+        below, layer = layer, {}
+        for mask, (t, _, _, _) in below.items():
+            smallest = (mask & -mask) or 1 << n
+            v = max(1, p - t)
+            while 1 << v < smallest:
+                target = mask | 1 << v
+                t2 = t + v - p
+                limit = 1 << (t2 + p + 1)
+                weight = signed = count = 0
+                rest = target
+                while rest:
+                    bit = rest & -rest
+                    if bit >= limit:
+                        break
+                    rest ^= bit
+                    _, w, s, c = below[target ^ bit]
+                    if (target & (bit - 1)).bit_count() & 1:
+                        weight -= w
+                        signed -= s
+                    else:
+                        weight += w
+                        signed += s
+                    count += c
+                layer[target] = (t2, weight * fall[t2 + p], signed, count)
+                v += 1
+        now = time.monotonic()
+        if progress and now - last_report >= parallel.PROGRESS_INTERVAL_S:
+            last_report = now
+            print(f"layer {k}/{n - 1}, {len(layer)} states", file=sys.stderr)
+    ((_, weight, signed, count),) = layer.values()
+    even = (count + signed) // 2
+    return parallel.PartialResult(weight, even, count - even, count)
+
+
 def const_of_p(p: int, workers: int = 1, depth: int | None = None,
                progress: bool = False) -> ConstReport:
     """Compute the universal constant for 2p operators, with full statistics.
 
-    Enumerates the contributing set with the pruned backtracking search
-    (optionally split over ``workers`` processes; see ``parallel``),
-    accumulates the signed sum exactly, and divides by the monomial
-    Wronskian. The result is bit-identical for every worker count and
-    split depth.
+    Evaluates the signed sum with ``subset_dp``, unless ``workers > 1`` or a
+    ``depth`` asks for the pruned backtracking walk, split over ``workers``
+    processes at split ``depth`` (see ``parallel``). Either way the sum is
+    divided exactly by the monomial Wronskian, and the report is
+    bit-identical for both paths and every worker count and split depth.
     """
-    part = parallel.compute(p, workers=workers, depth=depth, progress=progress)
+    if workers != 1 or depth is not None:
+        part = parallel.compute(p, workers=workers, depth=depth,
+                                progress=progress)
+    else:
+        part = subset_dp(p, progress=progress)
     wronskian = wronskian_of_monomials(2 * p)
     const, remainder = divmod(part.signed_sum, wronskian)
     if remainder:

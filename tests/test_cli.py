@@ -47,6 +47,14 @@ def test_const_identical_across_workers(capsys):
     assert out_one == out_two
 
 
+def test_const_walk_matches_default(capsys):
+    _, out_walk, _ = run_cli(capsys, "const", "--p", "5", "--workers", "2",
+                             "--format", "jsonl")
+    _, out_default, _ = run_cli(capsys, "const", "--p", "5", "--format",
+                                "jsonl")
+    assert out_walk == out_default
+
+
 def test_const_rejects_bad_p(capsys):
     code, _, _ = run_cli(capsys, "const", "--p", "0")
     assert code == 2

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from altwronsk import parallel
 from altwronsk.engine import (
     ConstReport,
     const_of_p,
@@ -13,6 +14,7 @@ from altwronsk.engine import (
     falling_factorial,
     ratios,
     render_ratio,
+    subset_dp,
     term_coefficient,
     wronskian_of_monomials,
 )
@@ -25,13 +27,18 @@ from altwronsk.permutations import (
 
 P = parse_permutation
 
-# p, phi, even, odd, const - the five cheap reference rows.
+# p, phi, even, odd, const - the cheap reference rows. p = 7 and 8 are
+# checked through the subset DP only; their walks take minutes and more.
 REFERENCE_ROWS = [
     (1, 1, 1, 0, 1),
     (2, 3, 1, 2, 2),
     (3, 35, 18, 17, 90),
     (4, 1001, 500, 501, 586656),
     (5, 53109, 26555, 26554, 1915103977500),
+    (7, 589_809_987, 294_904_994, 294_904_993,
+     85873408332103907284746052081828368),
+    (8, 104_899_483_845, 52_449_741_922, 52_449_741_923,
+     4_594_491_123_326_092_088_701_002_220_876_785_865_521_537_220_214_784),
 ]
 
 
@@ -122,6 +129,26 @@ def test_const_matches_filtered_per_term_summation(p):
 def test_const_of_p_rejects_bad_p():
     with pytest.raises(ValueError):
         const_of_p(0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_subset_dp_matches_walk(p):
+    assert subset_dp(p) == parallel.compute(p)
+
+
+def test_subset_dp_progress_goes_to_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(parallel, "PROGRESS_INTERVAL_S", 0.0)
+    subset_dp(3, progress=True)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "layer 1/5, 3 states"
+    assert lines[-1] == "layer 5/5, 1 states"
+
+
+def test_const_of_p_rejects_bad_workers():
+    with pytest.raises(ValueError):
+        const_of_p(4, workers=0)
 
 
 def test_determinism_across_workers_and_depths():
