@@ -14,8 +14,6 @@ from .engine import (
     ConstReport,
     ExactDivisionError,
     const_of_p,
-    exponent_sequence,
-    falling_factorial,
     ratios,
     render_ratio,
     subset_dp,
@@ -24,26 +22,14 @@ from .engine import (
 )
 from .oracle import (
     VerificationRecord,
-    WeightedOperator,
     alternating_composition,
-    apply_weighted_operator,
     brute_force_const,
-    derivative,
     monomial_weights,
     random_polynomial,
     symbolic_wronskian,
     verify_theorem,
 )
-from .parallel import (
-    PartialResult,
-    SubtreeTask,
-    compute,
-    default_depth,
-    partition_work,
-    reduce,
-    run_task,
-    run_task_counting,
-)
+from .parallel import PartialResult
 from .permutations import (
     count_late_growing,
     enumerate_backtracking,
@@ -66,22 +52,14 @@ __all__ = [
     "ExactDivisionError",
     "PartialResult",
     "Polynomial",
-    "SubtreeTask",
     "VerificationRecord",
-    "WeightedOperator",
     "alternating_composition",
-    "apply_weighted_operator",
     "brute_force_const",
-    "compute",
     "const_of_p",
     "count_late_growing",
-    "default_depth",
-    "derivative",
     "enumerate_backtracking",
     "enumerate_backtracking_signed",
     "enumerate_filtered",
-    "exponent_sequence",
-    "falling_factorial",
     "format_permutation",
     "is_contributing",
     "is_late_growing",
@@ -89,13 +67,9 @@ __all__ = [
     "monomial",
     "monomial_weights",
     "parse_permutation",
-    "partition_work",
     "random_polynomial",
     "ratios",
-    "reduce",
     "render_ratio",
-    "run_task",
-    "run_task_counting",
     "sign",
     "subset_dp",
     "suffix_partial_sums",

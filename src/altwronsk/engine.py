@@ -29,52 +29,26 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import parallel
-from .permutations import _require_length
+from .permutations import suffix_partial_sums
 
 
 class ExactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder (internal bug)."""
 
 
-def falling_factorial(a: int, p: int) -> int:
-    """a * (a-1) * ... * (a-p+1) for a, p >= 0; empty product is 1.
-
-    Zero whenever a < p, which is exactly the vanishing case of applying a
-    p-th derivative to x^a.
-    """
-    return math.perm(a, p)
-
-
-def exponent_sequence(perm: Sequence[int], p: int) -> tuple[int, ...] | None:
-    """Running exponents (E_1, ..., E_{N-1}) seen by the p-th derivatives.
-
-    E_1 is the degree of the innermost weight; each later weight raises the
-    exponent by its degree while every derivative application lowers it by
-    p: E_{k+1} = E_k - p + degree(next weight). Returns None (a vanishing
-    term, not an error) as soon as some E_k < p, since from that point the
-    term is identically zero and later values would be meaningless.
-    """
-    _require_length(perm, p)
-    values = []
-    e = 0
-    for k, v in enumerate(perm[:0:-1]):
-        e = v if k == 0 else e - p + v
-        if e < p:
-            return None
-        values.append(e)
-    return tuple(values)
-
-
 def term_coefficient(perm: Sequence[int], p: int) -> int:
     """The falling-factorial product for one permutation; 0 if it vanishes.
 
-    Strictly positive on contributing permutations, so all sign variation
-    in the signed sum comes from permutation signs alone.
+    The running exponents seen by the p-th derivatives, innermost weight
+    first, are the suffix partial sums shifted by p: E_k = T_k + p. The term
+    vanishes as soon as some E_k < p (some T_k < 0). Strictly positive on
+    contributing permutations, so all sign variation in the signed sum
+    comes from permutation signs alone.
     """
-    exponents = exponent_sequence(perm, p)
-    if exponents is None:
+    sums = suffix_partial_sums(perm, p)
+    if min(sums) < 0:
         return 0
-    return math.prod(math.perm(e, p) for e in exponents)
+    return math.prod(math.perm(t + p, p) for t in sums)
 
 
 @lru_cache(maxsize=None)

@@ -26,32 +26,6 @@ from .polynomial import ONE, Polynomial, monomial
 _COMFORTABLE_MAX_P = 4
 
 
-def derivative(g: Polynomial, order: int = 1) -> Polynomial:
-    """The order-th formal derivative of an exact polynomial."""
-    return g.derivative(order)
-
-
-@dataclass(frozen=True)
-class WeightedOperator:
-    """weight(x) * d^order/dx^order, applied as: differentiate, then weigh."""
-
-    weight: Polynomial
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-
-
-def apply_weighted_operator(op: WeightedOperator, g: Polynomial) -> Polynomial:
-    """Apply one weighted derivative operator to a polynomial.
-
-    On monomials this is x^b d^p x^a = a!/(a-p)! * x^(a+b-p), including the
-    vanishing case a < p.
-    """
-    return op.weight * g.derivative(op.order)
-
-
 def alternating_composition(
     p: int, weights: Sequence[Polynomial], f: Polynomial
 ) -> Polynomial:

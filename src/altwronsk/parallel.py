@@ -1,14 +1,16 @@
 """Deterministic work partitioning of the contributing-permutation tree.
 
-The backtracking search that builds the contributing set for N = 2p fills
-positions right to left. Fixing the first ``depth`` placed values (the
-rightmost ``depth`` positions) splits the search tree into disjoint subtrees;
-each pruned prefix of that length becomes a ``SubtreeTask``. ``run_task``
-finishes the search below one task while accumulating, per completed
-permutation, its sign and the product of falling factorials of the running
-exponents - the per-term value of the signed sum. Partial results form a
-commutative monoid under componentwise addition, so any schedule, worker
-count or split depth reduces to the identical exact total.
+The pruned search that builds the contributing set for N = 2p
+(``permutations.pruned_suffixes``) fills positions right to left. Cutting it
+at ``depth`` placed values (the rightmost ``depth`` positions) splits the
+search tree into disjoint subtrees; each pruned suffix of that length
+becomes a ``SubtreeTask``. ``run_task`` finishes the search below one task
+with ``_walk``, the accumulating kernel, which adds up per completed
+permutation its sign and the product of falling factorials of the running
+exponents - the per-term value of the signed sum. ``run_tasks`` is the one
+place a process pool runs. Partial results form a commutative monoid under
+componentwise addition, so any schedule, worker count or split depth
+reduces to the identical exact total.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from .permutations import pruned_suffixes
 
 PROGRESS_INTERVAL_S = 1.0
 
@@ -106,28 +110,8 @@ def partition_work(p: int, depth: int) -> list[SubtreeTask]:
         return [SubtreeTask(1, (), 0)]
     if not 1 <= depth <= 2 * p - 2:
         raise ValueError(f"depth must be in 1..{2 * p - 2}, got {depth}")
-    n = 2 * p
-    tasks: list[SubtreeTask] = []
-    suffix: list[int] = []
-    pool = list(range(1, n))
-
-    def extend(t: int) -> None:
-        if len(suffix) == depth:
-            tasks.append(SubtreeTask(p, tuple(suffix), t))
-            return
-        for idx in range(len(pool)):
-            v = pool[idx]
-            t2 = t + v - p
-            if t2 < 0:
-                continue
-            pool.pop(idx)
-            suffix.append(v)
-            extend(t2)
-            suffix.pop()
-            pool.insert(idx, v)
-
-    extend(0)
-    return tasks
+    return [SubtreeTask(p, tuple(suffix), t)
+            for suffix, t, _ in pruned_suffixes(p, depth)]
 
 
 def _walk(pool: list[int], t: int, parity: int, product: int,
@@ -195,6 +179,23 @@ def run_task(task: SubtreeTask) -> PartialResult:
     return run_task_counting(task)[0]
 
 
+def run_tasks(tasks: list[SubtreeTask],
+              workers: int) -> Iterator[tuple[PartialResult, int]]:
+    """``run_task_counting`` over every task, yielding each result as it ends.
+
+    Runs in this process when ``workers`` is 1 or there is a single task,
+    else on a pool of ``workers`` processes, in completion order.
+    """
+    if workers == 1 or len(tasks) == 1:
+        for task in tasks:
+            yield run_task_counting(task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        futures = [executor.submit(run_task_counting, task) for task in tasks]
+        for future in as_completed(futures):
+            yield future.result()
+
+
 def reduce(parts: Iterable[PartialResult]) -> PartialResult:
     """Componentwise exact sum; empty input gives the zero result."""
     total = ZERO_RESULT
@@ -230,31 +231,13 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
     else:
         tasks = partition_work(p, depth if depth is not None
                                else default_depth(p, workers))
-    started = time.monotonic()
-    last_report = started
+    last_report = time.monotonic()
     total = ZERO_RESULT
-
-    def report(done: int) -> None:
-        nonlocal last_report
+    for done, (part, _) in enumerate(run_tasks(tasks, workers), start=1):
+        total = total + part
         now = time.monotonic()
         if progress and now - last_report >= PROGRESS_INTERVAL_S:
             last_report = now
             print(f"{done}/{len(tasks)} tasks, "
                   f"{total.terms_evaluated} terms", file=sys.stderr)
-
-    if workers == 1 or len(tasks) == 1:
-        for done, task in enumerate(tasks, start=1):
-            total = total + run_task(task)
-            report(done)
-        return total
-
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        pending = {executor.submit(run_task, task) for task in tasks}
-        done_count = 0
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                total = total + future.result()
-                done_count += 1
-            report(done_count)
     return total

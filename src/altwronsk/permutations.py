@@ -12,8 +12,11 @@ derivative-operator term survives: sigma(1) = 1 and every suffix partial sum
 T_k = sum over the last k entries of (value - p) stays non-negative (the
 running exponent of x never dips below zero during the right-to-left operator
 applications). ``enumerate_filtered`` realises the definition by filtering
-all of S_N; ``enumerate_backtracking`` builds the same set incrementally,
-pruning any branch whose running sum would go negative.
+all of S_N. ``pruned_suffixes`` is the one pruned search of the package: it
+fills positions right to left and abandons any branch whose running sum
+would go negative. At full length it is the contributing-set stream
+(``enumerate_backtracking_signed``); cut at a smaller length it yields the
+subtrees that ``parallel.partition_work`` hands out as tasks.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from typing import Iterator, Sequence
 # enumerate_filtered walks all N! permutations; beyond this N it refuses.
 DEFAULT_FILTER_CAP = 16
 FILTER_CAP_ENV = "ALTWRONSK_V1_MAX_N"
-
-# count_late_growing brute-forces n!; beyond this n it refuses.
-LATE_GROWING_CAP = 10
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -82,7 +82,9 @@ def suffix_partial_sums(perm: Sequence[int], p: int) -> tuple[int, ...]:
     """The running sums (T_1, ..., T_{N-1}) over the reversed suffix.
 
     T_k adds up (value - p) over the last k entries; the term of a
-    permutation survives iff sigma(1) = 1 and every T_k >= 0. Returned in
+    permutation survives iff sigma(1) = 1 and every T_k >= 0. T_k + p is
+    the running exponent the k-th p-th derivative meets (see
+    ``engine.term_coefficient``). Returned in
     full (no short-circuit) so it doubles as a debugging aid;
     ``is_contributing`` is the short-circuiting check.
     """
@@ -120,7 +122,13 @@ def enumerate_filtered(p: int, max_n: int | None = None) -> Iterator[tuple[int, 
         raise ValueError(f"p must be >= 1, got {p}")
     n = 2 * p
     if max_n is None:
-        max_n = int(os.environ.get(FILTER_CAP_ENV, DEFAULT_FILTER_CAP))
+        raw = os.environ.get(FILTER_CAP_ENV, str(DEFAULT_FILTER_CAP))
+        try:
+            max_n = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{FILTER_CAP_ENV} must be an integer, got {raw!r}"
+            ) from None
     if n > max_n:
         raise ValueError(
             f"N = {n} exceeds the exhaustive-filter cap {max_n} "
@@ -131,31 +139,33 @@ def enumerate_filtered(p: int, max_n: int | None = None) -> Iterator[tuple[int, 
             yield perm
 
 
-def enumerate_backtracking_signed(
-    p: int, counter: list[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(permutation, sign) pairs for the contributing set, built by pruning.
+def pruned_suffixes(
+    p: int, length: int, counter: list[int] | None = None
+) -> Iterator[tuple[list[int], int, int]]:
+    """Every pruned suffix of ``length`` placed values, for N = 2p.
 
-    Position 1 is pinned to the smallest value; the remaining positions are
-    filled right to left, trying candidates in increasing order, and a
-    branch is abandoned as soon as the running sum of (value - p) over the
-    placed suffix would go negative. The sign is accumulated incrementally:
-    placing value v with rank ``idx`` among the remaining candidates creates
-    exactly (v - 1 - idx) inversions with the already-placed suffix.
+    Position 1 is left to the smallest value 0; values 1..N-1 fill the
+    positions right to left, trying the remaining candidates in increasing
+    order, and a branch is abandoned as soon as the running sum of
+    (value - p) over the placed suffix would go negative. Yields
+    ``(suffix, running_sum, parity)``: ``suffix`` lists the placed values
+    rightmost first and is reused between yields (copy it to keep it), and
+    ``parity`` is that of the inversions within the suffix. Placing value v
+    with rank ``idx`` among the remaining candidates creates exactly
+    (v - 1 - idx) inversions with the values already placed, so the parity
+    is kept incrementally. ``length`` is at most N - 1; at N - 1 every
+    yield is a complete contributing permutation.
 
     ``counter``, when given, has its first element incremented once per
     candidate placement attempted (pruned or not) - instrumentation for
     benchmarking.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n = 2 * p
-    pool = list(range(1, n))
-    chosen: list[int] = []  # rightmost position first
+    pool = list(range(1, 2 * p))
+    suffix: list[int] = []
 
-    def walk(t: int, parity: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if not pool:
-            yield (0, *reversed(chosen)), (-1 if parity else 1)
+    def walk(t: int, parity: int) -> Iterator[tuple[list[int], int, int]]:
+        if len(suffix) == length:
+            yield suffix, t, parity
             return
         for idx in range(len(pool)):
             v = pool[idx]
@@ -165,12 +175,27 @@ def enumerate_backtracking_signed(
             if t2 < 0:
                 continue
             pool.pop(idx)
-            chosen.append(v)
+            suffix.append(v)
             yield from walk(t2, parity ^ ((v - 1 - idx) & 1))
-            chosen.pop()
+            suffix.pop()
             pool.insert(idx, v)
 
-    yield from walk(0, 0)
+    return walk(0, 0)
+
+
+def enumerate_backtracking_signed(
+    p: int, counter: list[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(permutation, sign) pairs for the contributing set, built by pruning.
+
+    The ``pruned_suffixes`` of full length 2p - 1, each completed by the
+    pinned 0 in position 1 (which adds no inversion). ``counter`` is passed
+    through: it counts every candidate placement attempted.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    for suffix, _, parity in pruned_suffixes(p, 2 * p - 1, counter):
+        yield (0, *reversed(suffix)), (-1 if parity else 1)
 
 
 def enumerate_backtracking(p: int) -> Iterator[tuple[int, ...]]:
@@ -200,14 +225,27 @@ def is_late_growing(perm: Sequence[int]) -> bool:
     return True
 
 
-def count_late_growing(n: int, max_n: int = LATE_GROWING_CAP) -> int:
-    """Number of late-growing permutations of n symbols, by brute force."""
+def count_late_growing(n: int) -> int:
+    """Number of late-growing permutations of n symbols.
+
+    A DP over the set of values used by a prefix: the prefix condition
+    2 * sum <= k * n depends only on that set, so the allowed orderings of
+    each set of k < n values are summed over its allowed last values. The
+    last value of a full permutation is forced and never constrained.
+    ``is_late_growing`` is the per-permutation definition it is tested
+    against.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise ValueError(
-            f"n = {n} needs {math.factorial(n)} permutations; cap is {max_n}"
-        )
-    return sum(
-        1 for perm in itertools.permutations(range(n)) if is_late_growing(perm)
-    )
+    layer = {0: (0, 1)}  # set of used 1-based values -> (sum, orderings)
+    for k in range(1, n):
+        below, layer = layer, {}
+        for used, (total, ways) in below.items():
+            for v in range(1, n + 1):
+                if used >> v & 1:
+                    continue
+                if 2 * (total + v) > k * n:
+                    break  # larger values exceed the bound too
+                key = used | 1 << v
+                layer[key] = (total + v, layer.get(key, (0, 0))[1] + ways)
+    return sum(ways for _, ways in layer.values())

@@ -138,6 +138,14 @@ def test_verify_theorem_random_slow_extends_cap(capsys):
     assert "expected=90" in out
 
 
+def test_malformed_filter_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ALTWRONSK_V1_MAX_N", "abc")
+    code, _, err = run_cli(capsys, "verify", "--p", "2", "--mode",
+                           "generators")
+    assert code == 2
+    assert "ALTWRONSK_V1_MAX_N" in err and "'abc'" in err
+
+
 def test_verify_unknown_mode(capsys):
     code, _, _ = run_cli(capsys, "verify", "--p", "2", "--mode", "bogus")
     assert code == 2
@@ -171,6 +179,20 @@ def test_bench_v2_single_permutation(capsys):
     code, out, _ = run_cli(capsys, "bench", "--p", "1", "--format", "jsonl")
     assert code == 0
     assert json.loads(out)["emitted"] == 1
+
+
+@pytest.mark.parametrize(
+    "p, workers, examined, tasks",
+    [(3, 1, 123, 1), (5, 1, 176_992, 1), (3, 2, 79, 22), (5, 2, 176_943, 30)],
+)
+def test_bench_v2_counts(capsys, p, workers, examined, tasks):
+    # Placements attempted: the stream with one worker; with more, the
+    # walks below the default split, partition placements not counted.
+    code, out, _ = run_cli(capsys, "bench", "--p", str(p), "--algo", "v2",
+                           "--workers", str(workers), "--format", "jsonl")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["examined"], record["tasks"]) == (examined, tasks)
 
 
 def test_bench_v2_parallel(capsys):

@@ -10,8 +10,6 @@ from altwronsk import parallel
 from altwronsk.engine import (
     ConstReport,
     const_of_p,
-    exponent_sequence,
-    falling_factorial,
     ratios,
     render_ratio,
     subset_dp,
@@ -23,6 +21,7 @@ from altwronsk.permutations import (
     enumerate_filtered,
     parse_permutation,
     sign,
+    suffix_partial_sums,
 )
 
 P = parse_permutation
@@ -53,38 +52,43 @@ def direct_exponents(perm, p):
     )
 
 
-def test_falling_factorial():
-    assert falling_factorial(3, 2) == 6
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(1, 2) == 0
-
-
-def test_exponent_sequence_examples():
-    assert exponent_sequence(P("(1,2,3,4)"), 2) == (3, 3, 2)
-    assert exponent_sequence(P("(1,2,4,3)"), 2) == (2, 3, 2)
-    assert exponent_sequence(P("(1,2)"), 1) == (1,)
-
-
-def test_exponent_sequence_vanishing_signal():
-    # Discarded permutations yield None, not an exception.
-    assert exponent_sequence(P("(1,3,4,2)"), 2) is None
-    assert exponent_sequence(P("(1,4,3,2)"), 2) is None
-
-
-def test_exponent_sequence_rejects_bad_length():
-    with pytest.raises(ValueError):
-        exponent_sequence((0, 1, 2), 2)
+def exponents(perm, p):
+    return tuple(t + p for t in suffix_partial_sums(perm, p))
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_exponent_recurrence_matches_direct_formula(p):
+    # The running exponents are the suffix partial sums shifted by p, and
+    # the term is the product of their falling factorials, or 0 once one
+    # of them drops below p.
     for perm in itertools.permutations(range(2 * p)):
         direct = direct_exponents(perm, p)
-        got = exponent_sequence(perm, p)
-        if all(e >= p for e in direct):
-            assert got == direct
-        else:
-            assert got is None
+        assert exponents(perm, p) == direct
+        expected = (math.prod(math.perm(e, p) for e in direct)
+                    if all(e >= p for e in direct) else 0)
+        assert term_coefficient(perm, p) == expected
+
+
+def test_exponent_sequence_examples():
+    # The exponent sequence is the suffix partial sums shifted by p.
+    assert exponents(P("(1,2,3,4)"), 2) == (3, 3, 2)
+    assert exponents(P("(1,2,4,3)"), 2) == (2, 3, 2)
+    assert exponents(P("(1,2)"), 1) == (1,)
+
+
+def test_exponent_sequence_vanishing_signal():
+    # Discarded permutations vanish: some running exponent drops below p,
+    # and the term is 0 rather than an exception.
+    for text in ("(1,3,4,2)", "(1,4,3,2)"):
+        assert min(exponents(P(text), 2)) < 2
+        assert term_coefficient(P(text), 2) == 0
+
+
+def test_exponent_sequence_rejects_bad_length():
+    with pytest.raises(ValueError):
+        suffix_partial_sums((0, 1, 2), 2)
+    with pytest.raises(ValueError):
+        term_coefficient((0, 1, 2), 2)
 
 
 def test_term_coefficient_examples():

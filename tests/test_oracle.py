@@ -5,12 +5,9 @@ import pytest
 
 from altwronsk.engine import term_coefficient, wronskian_of_monomials
 from altwronsk.oracle import (
-    WeightedOperator,
     _check_arity,
     alternating_composition,
-    apply_weighted_operator,
     brute_force_const,
-    derivative,
     monomial_weights,
     random_polynomial,
     random_weight_tuple,
@@ -21,24 +18,11 @@ from altwronsk.permutations import enumerate_backtracking
 from altwronsk.polynomial import ONE, Polynomial, monomial
 
 
-def test_derivative_examples():
-    assert derivative(monomial(3), 2) == monomial(1, 6)
-    assert derivative(monomial(1), 2) == Polynomial()
-    assert derivative(Polynomial.parse("5")) == Polynomial()
-
-
 def test_weighted_operator_examples():
-    assert apply_weighted_operator(
-        WeightedOperator(monomial(2), 2), monomial(3)) == monomial(3, 6)
-    assert apply_weighted_operator(
-        WeightedOperator(monomial(3), 2), monomial(1)) == Polynomial()
-    assert apply_weighted_operator(
-        WeightedOperator(ONE, 1), monomial(1)) == ONE
-
-
-def test_weighted_operator_validates_order():
-    with pytest.raises(ValueError):
-        WeightedOperator(ONE, 0)
+    # x^b d^p applied to x^a, as the oracle composes it.
+    assert monomial(2) * monomial(3).derivative(2) == monomial(3, 6)
+    assert monomial(3) * monomial(1).derivative(2) == Polynomial()
+    assert ONE * monomial(1).derivative(1) == ONE
 
 
 def test_weighted_operator_reproduces_monomial_action():
@@ -46,8 +30,7 @@ def test_weighted_operator_reproduces_monomial_action():
     rng = random.Random(31)
     for _ in range(50):
         a, b, p = rng.randint(0, 8), rng.randint(0, 8), rng.randint(1, 4)
-        got = apply_weighted_operator(
-            WeightedOperator(monomial(b), p), monomial(a))
+        got = monomial(b) * monomial(a).derivative(p)
         if a < p:
             assert got == Polynomial()
         else:

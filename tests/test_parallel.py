@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from altwronsk import parallel
 from altwronsk.parallel import (
     ZERO_RESULT,
     PartialResult,
@@ -14,7 +15,11 @@ from altwronsk.parallel import (
     run_task,
     run_task_counting,
 )
-from altwronsk.permutations import enumerate_backtracking
+from altwronsk.permutations import (
+    enumerate_backtracking,
+    pruned_suffixes,
+    sign,
+)
 
 
 def test_partition_smallest_split():
@@ -44,6 +49,27 @@ def test_partition_order_and_coverage():
     assert suffixes == sorted(suffixes)
     total = reduce(run_task(task) for task in tasks)
     assert total.terms_evaluated == 35
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_partition_is_the_search_cut_at_depth(p):
+    # Every pruned suffix extends to a contributing permutation, so the
+    # tasks at depth d are the distinct length-d suffixes of the stream.
+    stream = list(enumerate_backtracking(p))
+    for depth in range(1, 2 * p - 1):
+        tasks = [(task.fixed_suffix, task.running_sum)
+                 for task in partition_work(p, depth)]
+        cut = [(tuple(suffix), t)
+               for suffix, t, _ in pruned_suffixes(p, depth)]
+        from_stream = sorted({perm[:-depth - 1:-1] for perm in stream})
+        assert tasks == cut
+        assert [suffix for suffix, _ in tasks] == from_stream
+        assert all(t == sum(v - p for v in suffix) for suffix, t in tasks)
+
+
+def test_pruned_suffix_parity_is_inversion_parity():
+    for suffix, _, parity in pruned_suffixes(3, 3):
+        assert (-1 if parity else 1) == sign(list(reversed(suffix)))
 
 
 def test_task_validation():
@@ -138,6 +164,17 @@ def test_compute_matches_across_workers():
     assert compute(4, workers=2) == baseline
     assert compute(4, workers=1, depth=2) == baseline
     assert compute(4, workers=2, depth=3) == baseline
+
+
+def test_compute_progress_goes_to_stderr_only(capsys, monkeypatch):
+    monkeypatch.setattr(parallel, "PROGRESS_INTERVAL_S", 0)
+    assert compute(4, workers=2, progress=True).terms_evaluated == 1001
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    tasks = len(partition_work(4, default_depth(4, 2)))
+    lines = captured.err.splitlines()
+    assert len(lines) == tasks
+    assert lines[-1] == f"{tasks}/{tasks} tasks, 1001 terms"
 
 
 def test_compute_validates_arguments():

@@ -220,11 +220,19 @@ def test_count_late_growing_values():
     assert count_late_growing(4) == 3
     assert count_late_growing(6) == 35
     assert count_late_growing(8) == 1001
+    # |Phi_6| and |Phi_7|, far past any brute force.
+    assert count_late_growing(12) == 4_605_271
+    assert count_late_growing(14) == 589_809_987
 
 
-def test_count_late_growing_refuses_large_n():
-    with pytest.raises(ValueError):
-        count_late_growing(11)
+@pytest.mark.parametrize("n", range(1, 11))
+def test_count_late_growing_matches_brute_force(n):
+    brute = sum(1 for perm in itertools.permutations(range(n))
+                if is_late_growing(perm))
+    assert count_late_growing(n) == brute
+
+
+def test_count_late_growing_rejects_bad_n():
     with pytest.raises(ValueError):
         count_late_growing(0)
 
