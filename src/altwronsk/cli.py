@@ -2,7 +2,8 @@
 
 Results go to stdout; progress and diagnostics to stderr. Exit codes:
 0 success/pass, 1 verification failure, 2 usage error or refusal,
-3 internal consistency error.
+3 internal error (a failed consistency check or a crashed worker process),
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import random
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from . import parallel
 from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _positive(text: str) -> int:
@@ -109,6 +112,12 @@ def main(argv: list[str] | None = None) -> int:
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenProcessPool as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 # -- output helpers -------------------------------------------------------
@@ -318,7 +327,7 @@ def _verify_generators(args):
 
 
 def _verify_oeis(args):
-    if args.p > 4 and not args.slow:
+    if args.p > 5 and not args.slow:
         return _refuse(f"oeis mode streams the contributing set at p={args.p}")
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)

@@ -3,14 +3,20 @@
 Instead of the pruned-permutation engine, this module composes weighted
 derivative operators symbolically on exact polynomials, sums over the whole
 symmetric group with signs, and compares against the Wronskian determinant.
-Nothing here knows about the contributing-set construction or the
-falling-factorial closed form, which is what makes it a genuine
-cross-check of the fast engine.
+
+The sum walks the orderings as a tree, innermost operator first, so a
+partial composition shared by many orderings is computed once; each
+operator application is still a literal polynomial derivative and product,
+and the sign of each ordering is carried down the walk as an inversion
+parity. The walk skips only subtrees below a partial composition whose
+derivative is zero, because every operator maps zero to zero. Nothing here
+knows about the contributing-set construction or the falling-factorial
+closed form, which is what makes it a genuine cross-check of the fast
+engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import warnings
@@ -19,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import ExactDivisionError
-from .permutations import sign
 from .polynomial import ONE, Polynomial, monomial
 
 # Full S_N sums cost N! compositions; warn once past this arity.
@@ -31,18 +36,45 @@ def alternating_composition(
 ) -> Polynomial:
     """Signed sum over all orderings of the composed weighted operators.
 
-    Every permutation of the 2p weights contributes the composition
-    w_(1) d^p ( w_(2) d^p ( ... w_(2p) d^p (f) ... )) with the permutation's
-    sign. Exact and brutally literal: all (2p)! orderings are evaluated.
+    Every permutation ``order`` of the 2p weights contributes the
+    composition w_(order[0]) d^p ( ... w_(order[2p-1]) d^p (f) ... ) with the
+    permutation's sign. The orderings are walked as a tree, innermost
+    operator first: a node at depth k holds the exact partial composition
+    of the k innermost operators, its p-th derivative is taken once, and
+    each child applies one more operator, literally ``weights[j] * d``.
+    Orderings that share their innermost operators therefore share that
+    work, and each leaf is one full composition, added into one
+    exponent -> coefficient map with its sign.
+
+    The sign is carried down the walk: placing index j to the left of the
+    indices already placed, when it has rank ``idx`` among the unused ones,
+    makes j - idx new inversions (the placed indices below j). A node whose
+    derivative is the zero polynomial ends its subtree, since every
+    extension of it is w * 0 = 0. Nothing else is skipped: the walk knows
+    nothing of contributing sets or falling-factorial closed forms, which
+    keeps it independent of the engine.
     """
     n = _check_arity(p, weights)
-    total = Polynomial()
-    for order in itertools.permutations(range(n)):
-        term = f
-        for idx in reversed(order):
-            term = weights[idx] * term.derivative(p)
-        total = total + (term if sign(order) > 0 else -term)
-    return total
+    acc: dict[int, int] = {}
+    unused = list(range(n))
+
+    def extend(term: Polynomial, odd: int) -> None:
+        d = term.derivative(p)
+        if not d:
+            return
+        for idx in range(len(unused)):
+            j = unused.pop(idx)
+            child = weights[j] * d
+            child_odd = odd ^ ((j - idx) & 1)
+            if unused:
+                extend(child, child_odd)
+            else:
+                for e, c in child.terms():
+                    acc[e] = acc.get(e, 0) + (-c if child_odd else c)
+            unused.insert(idx, j)
+
+    extend(f, 0)
+    return Polynomial(acc)
 
 
 def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:

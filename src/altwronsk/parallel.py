@@ -192,8 +192,12 @@ def run_tasks(tasks: list[SubtreeTask],
         return
     with ProcessPoolExecutor(max_workers=workers) as executor:
         futures = [executor.submit(run_task_counting, task) for task in tasks]
-        for future in as_completed(futures):
-            yield future.result()
+        try:
+            for future in as_completed(futures):
+                yield future.result()
+        finally:
+            # After an error or Ctrl-C, wait only for the running tasks.
+            executor.shutdown(cancel_futures=True)
 
 
 def reduce(parts: Iterable[PartialResult]) -> PartialResult:

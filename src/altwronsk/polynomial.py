@@ -79,10 +79,10 @@ class Polynomial:
         acc = dict(self._coeffs)
         for e, c in other._coeffs.items():
             acc[e] = acc.get(e, 0) + c
-        return Polynomial(acc)
+        return _normalised({e: c for e, c in acc.items() if c})
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({e: -c for e, c in self._coeffs.items()})
+        return _normalised({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -91,7 +91,9 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
-            return Polynomial({e: c * other for e, c in self._coeffs.items()})
+            if not other:
+                return _normalised({})
+            return _normalised({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -99,7 +101,7 @@ class Polynomial:
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return Polynomial(acc)
+        return _normalised({e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -110,7 +112,7 @@ class Polynomial:
         if order == 0:
             return self
         # d^k/dx^k x^e = e(e-1)...(e-k+1) x^(e-k); math.perm is that product.
-        return Polynomial(
+        return _normalised(
             {e - order: c * math.perm(e, order)
              for e, c in self._coeffs.items() if e >= order}
         )
@@ -160,6 +162,19 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({dict(sorted(self._coeffs.items()))!r})"
+
+
+def _normalised(coeffs: dict[int, int]) -> Polynomial:
+    """Wrap a dict that already holds the canonical form: distinct exponents
+    >= 0, each with a nonzero coefficient. It is not copied or checked.
+
+    The arithmetic above builds its results here, so it skips the public
+    constructor's re-accumulation and ``Mapping`` check. Equality compares
+    the dicts, so a stored zero would break it.
+    """
+    poly = object.__new__(Polynomial)
+    poly._coeffs = coeffs
+    return poly
 
 
 def monomial(exponent: int, coefficient: int = 1) -> Polynomial:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+from altwronsk import parallel
 from altwronsk.cli import main
 from altwronsk.engine import ConstReport, const_of_p
 
@@ -123,12 +126,18 @@ def test_verify_jsonl_record(capsys):
 
 @pytest.mark.parametrize(
     "mode, p", [("oracle", 5), ("theorem-random", 3), ("generators", 5),
-                ("oeis", 5)],
+                ("oeis", 6)],
 )
 def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
     code, _, err = run_cli(capsys, "verify", "--p", str(p), "--mode", mode)
     assert code == 2
     assert "refusing" in err
+
+
+def test_verify_oeis_p5_runs_without_slow(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--p", "5", "--mode", "oeis")
+    assert code == 0
+    assert out == "PASS oeis p=5: |Phi_p|=53109 late-growing(10)=53109\n"
 
 
 def test_verify_theorem_random_slow_extends_cap(capsys):
@@ -144,6 +153,22 @@ def test_malformed_filter_cap_is_a_usage_error(capsys, monkeypatch):
                            "generators")
     assert code == 2
     assert "ALTWRONSK_V1_MAX_N" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [(BrokenProcessPool("a worker died"), 3, "internal error: a worker died\n"),
+     (KeyboardInterrupt(), 130, "interrupted\n")],
+)
+def test_pool_failures_end_cleanly(capsys, monkeypatch, raised, code,
+                                   message):
+    def run_tasks(tasks, workers):
+        raise raised
+
+    monkeypatch.setattr(parallel, "run_tasks", run_tasks)
+    got, out, err = run_cli(capsys, "const", "--p", "4", "--workers", "2",
+                            "--no-progress")
+    assert (got, out, err) == (code, "", message)
 
 
 def test_verify_unknown_mode(capsys):

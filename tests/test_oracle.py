@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from altwronsk.oracle import (
     symbolic_wronskian,
     verify_theorem,
 )
-from altwronsk.permutations import enumerate_backtracking
+from altwronsk.permutations import enumerate_backtracking, sign
 from altwronsk.polynomial import ONE, Polynomial, monomial
 
 
@@ -47,6 +49,71 @@ def test_alternating_composition_small_cases():
         2, monomial_weights(4), monomial(2)) == Polynomial.parse("48")
     assert alternating_composition(
         1, [monomial(1), monomial(1)], monomial(5)) == Polynomial()
+
+
+def literal_alternating_composition(p, weights, f):
+    """The definition, term by term: every ordering composed from scratch,
+    its sign from a count of inversions."""
+    total = Polynomial()
+    for order in itertools.permutations(range(len(weights))):
+        inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+        term = f
+        for j in reversed(order):
+            term = weights[j] * term.derivative(p)
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_tree_walk_matches_literal_reference(p):
+    rng = random.Random(4100 + p)
+    for _ in range(3):
+        weights = [random_polynomial(rng, coeff_bound=50)
+                   for _ in range(2 * p)]
+        f = random_polynomial(rng, max_degree=3 * p + 3, min_degree=p)
+        assert alternating_composition(p, weights, f) == \
+            literal_alternating_composition(p, weights, f)
+
+
+def test_tree_walk_matches_literal_reference_on_monomials():
+    weights, f = monomial_weights(8), monomial(4)
+    got = alternating_composition(4, weights, f)
+    assert got == literal_alternating_composition(4, weights, f)
+    assert got == Polynomial({0: 586656 * 24 * wronskian_of_monomials(8)})
+
+
+class _Composition:
+    """Stands in for a polynomial: the weight indices applied so far,
+    innermost first. Its one term encodes the ordering, outermost first, as
+    the decimal digits of the exponent."""
+
+    def __init__(self, applied=()):
+        self.applied = applied
+
+    def derivative(self, order):
+        return self
+
+    def terms(self):
+        return [(int("".join(map(str, reversed(self.applied)))), 1)]
+
+
+class _Weight:
+    def __init__(self, index):
+        self.index = index
+
+    def __mul__(self, other):
+        return _Composition(other.applied + (self.index,))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_carried_parity_is_permutation_sign(p):
+    n = 2 * p
+    got = alternating_composition(p, [_Weight(j) for j in range(n)],
+                                  _Composition())
+    assert len(got.terms()) == math.factorial(n)
+    for order in itertools.permutations(range(n)):
+        exponent = int("".join(map(str, order)))
+        assert got.coefficient(exponent) == sign(order)
 
 
 def test_alternating_composition_validates_arity():
