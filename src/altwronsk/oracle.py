@@ -27,8 +27,9 @@ from typing import Sequence
 from .engine import ExactDivisionError
 from .polynomial import ONE, Polynomial, monomial
 
-# Full S_N sums cost N! compositions; warn once past this arity.
-_COMFORTABLE_MAX_P = 4
+# Full S_N sums cost N! compositions; warn once past this arity. p = 5
+# (10! orderings) takes about 2 s with the shared-composition tree walk.
+_COMFORTABLE_MAX_P = 5
 
 
 def alternating_composition(

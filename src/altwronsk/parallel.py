@@ -1,16 +1,16 @@
 """Deterministic work partitioning of the contributing-permutation tree.
 
 The pruned search that builds the contributing set for N = 2p
-(``permutations.pruned_suffixes``) fills positions right to left. Cutting it
-at ``depth`` placed values (the rightmost ``depth`` positions) splits the
-search tree into disjoint subtrees; each pruned suffix of that length
-becomes a ``SubtreeTask``. ``run_task`` finishes the search below one task
-with ``_walk``, the accumulating kernel, which adds up per completed
-permutation its sign and the product of falling factorials of the running
-exponents - the per-term value of the signed sum. ``run_tasks`` is the one
-place a process pool runs. Partial results form a commutative monoid under
-componentwise addition, so any schedule, worker count or split depth
-reduces to the identical exact total.
+(``permutations.pruned_suffixes``) fills positions right to left. Cut at
+``depth`` placed values, it splits the tree into disjoint subtrees, and
+``partition_work`` makes each pruned suffix of that length a ``SubtreeTask``
+carrying the search's state there. ``run_task_counting`` resumes the search
+from that state with ``_walk``, the accumulating kernel, which adds up per
+completed permutation its sign and the product of falling factorials of the
+running exponents - the per-term value of the signed sum. ``run_tasks`` is
+the one place a process pool runs. Partial results form a commutative
+monoid under componentwise addition, so any schedule, worker count or split
+depth reduces to the identical exact total.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .permutations import pruned_suffixes
@@ -30,35 +31,19 @@ PROGRESS_INTERVAL_S = 1.0
 
 @dataclass(frozen=True)
 class SubtreeTask:
-    """A pruned partial suffix: the rightmost placements already fixed.
+    """One subtree of the pruned search, with the walk state at its root.
 
-    ``fixed_suffix`` lists 0-based values, first element = rightmost
-    position. ``running_sum`` is the sum of (value - p) over the suffix and
-    must match it; every prefix of the suffix must already satisfy the
-    non-negativity pruning rule, otherwise the task could not arise.
+    ``fixed_suffix`` lists the placed 0-based values, rightmost first; the
+    rest is the search's state there, as ``partition_work`` found it: the
+    sum of (value - p) over the suffix, its inversion parity, and the
+    product of ``fall[t_k + p]`` over its running sums t_k.
     """
 
     p: int
     fixed_suffix: tuple[int, ...]
     running_sum: int
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        n = 2 * self.p
-        if len(set(self.fixed_suffix)) != len(self.fixed_suffix) or any(
-            not 1 <= v <= n - 1 for v in self.fixed_suffix
-        ):
-            raise ValueError(f"suffix must be distinct values in 1..{n - 1}")
-        acc = 0
-        for v in self.fixed_suffix:
-            acc += v - self.p
-            if acc < 0:
-                raise ValueError(f"suffix {self.fixed_suffix} violates pruning")
-        if acc != self.running_sum:
-            raise ValueError(
-                f"running_sum {self.running_sum} inconsistent with suffix (is {acc})"
-            )
+    parity: int
+    product: int
 
 
 @dataclass(frozen=True)
@@ -101,17 +86,20 @@ def partition_work(p: int, depth: int) -> list[SubtreeTask]:
 
     The subtrees below the returned tasks cover the contributing set
     exactly once. ``depth`` must lie in 1..2p-2 so every task leaves at
-    least one position to fill; p = 1 has no splittable interior and
-    returns the single whole-tree task.
+    least one position to fill; p = 1 has no splittable interior, so its
+    single task is the search cut at length 0, whatever ``depth``.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 1:
-        return [SubtreeTask(1, (), 0)]
-    if not 1 <= depth <= 2 * p - 2:
+        depth = 0
+    elif not 1 <= depth <= 2 * p - 2:
         raise ValueError(f"depth must be in 1..{2 * p - 2}, got {depth}")
-    return [SubtreeTask(p, tuple(suffix), t)
-            for suffix, t, _ in pruned_suffixes(p, depth)]
+    fall = _falling_factorials(p)
+    return [SubtreeTask(p, tuple(suffix), t, parity,
+                        math.prod(fall[tk + p] for tk in
+                                  accumulate(v - p for v in suffix)))
+            for suffix, t, parity in pruned_suffixes(p, depth)]
 
 
 def _walk(pool: list[int], t: int, parity: int, product: int,
@@ -146,36 +134,23 @@ def run_task_counting(task: SubtreeTask) -> tuple[PartialResult, int]:
     """Like ``run_task`` but also reports candidate placements attempted.
 
     The second element counts every extension tried, pruned or not - the
-    instrumentation behind benchmark "examined" figures.
+    instrumentation behind benchmark "examined" figures. The walk resumes
+    from the task's carried state: a value v placed with idx smaller
+    candidates left has (v - 1 - idx) placed values below it.
     """
-    p = task.p
-    n = 2 * p
-    fall = _falling_factorials(p)
-    # Replay the fixed suffix: its factors and its share of the sign. The
-    # placements below pick up inversions against the suffix automatically,
-    # because a value v with idx smaller remaining candidates has exactly
-    # (v - 1 - idx) placed values below it.
-    product = 1
-    parity = 0
-    acc = 0
-    for k, v in enumerate(task.fixed_suffix):
-        acc += v - p
-        product *= fall[acc + p]
-        parity ^= sum(1 for w in task.fixed_suffix[:k] if w < v) & 1
     placed = set(task.fixed_suffix)
-    pool = [v for v in range(1, n) if v not in placed]
-    if not pool:
-        result = PartialResult(
-            -product if parity else product, 1 - parity, parity, 1
-        )
-        return result, 0
+    pool = [v for v in range(1, 2 * task.p) if v not in placed]
     out = [0, 0, 0, 0]
-    _walk(pool, task.running_sum, parity, product, fall, p, out)
+    _walk(pool, task.running_sum, task.parity, task.product,
+          _falling_factorials(task.p), task.p, out)
     return PartialResult(out[0], out[1], out[2], out[1] + out[2]), out[3]
 
 
 def run_task(task: SubtreeTask) -> PartialResult:
-    """Finish the search below a task, accumulating signed per-term values."""
+    """Finish the search below a task, accumulating signed per-term values.
+
+    Kept because ``perfbench/layers.py`` wraps ``parallel.run_task`` by name.
+    """
     return run_task_counting(task)[0]
 
 
@@ -221,7 +196,9 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
             progress: bool = False) -> PartialResult:
     """Reduce the whole contributing set for N = 2p to one PartialResult.
 
-    The result is identical for every worker count and split depth. With
+    Runs the tasks of ``partition_work`` at ``depth`` (by default
+    ``default_depth(p, workers)``), one process or a pool; the result is
+    identical for every worker count and split depth. With
     ``progress`` set, emits "done/total tasks, terms terms" lines to stderr
     at most once per second.
     """
@@ -229,12 +206,8 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
         raise ValueError(f"p must be >= 1, got {p}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if depth is None and workers == 1:
-        # No splitting needed; run the whole tree as one root task.
-        tasks = [SubtreeTask(p, (), 0)]
-    else:
-        tasks = partition_work(p, depth if depth is not None
-                               else default_depth(p, workers))
+    tasks = partition_work(p, depth if depth is not None
+                           else default_depth(p, workers))
     last_report = time.monotonic()
     total = ZERO_RESULT
     for done, (part, _) in enumerate(run_tasks(tasks, workers), start=1):

@@ -123,6 +123,29 @@ def test_const_of_p_reference_rows(p, phi, even, odd, const):
     assert report.const_p * report.wronskian == report.signed_sum
 
 
+def test_published_rows_arithmetic_sentinels():
+    # Facts about the published rows p <= 10, not conjectures about all p.
+    # A new row that breaks one deserves a second look before it is
+    # published.
+    consts = {p: const for p, *_, const in REFERENCE_ROWS}
+    consts.update((p, const_of_p(p).const_p) for p in (9, 10))
+
+    def valuation(n, prime):
+        k = 0
+        while n % prime == 0:
+            n //= prime
+            k += 1
+        return k
+
+    for prime in (2, 3, 5, 7):
+        assert valuation(consts[prime], prime) == prime - 1
+    for p in (3, 4, 6, 7, 9, 10):  # 2p - 1 is a prime >= 5
+        assert consts[p] % (2 * p - 1) == 0
+    integral = [p for p in sorted(consts)
+                if consts[p] % math.factorial(p) == 0]
+    assert integral == [1, 2, 3, 4, 6]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_const_matches_filtered_per_term_summation(p):
     # Same sum assembled the slow way: exhaustive filter, quadratic-time

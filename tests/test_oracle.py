@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,11 @@ def test_alternating_composition_validates_arity():
 
 def test_large_arity_warns():
     with pytest.warns(RuntimeWarning):
-        _check_arity(5, [ONE] * 10)
+        _check_arity(6, [ONE] * 12)
+    # p = 5 takes seconds, so it runs without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _check_arity(5, [ONE] * 10) == 10
 
 
 def test_antisymmetry_on_random_instances():

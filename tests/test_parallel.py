@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -72,43 +73,42 @@ def test_pruned_suffix_parity_is_inversion_parity():
         assert (-1 if parity else 1) == sign(list(reversed(suffix)))
 
 
-def test_task_validation():
-    with pytest.raises(ValueError):
-        SubtreeTask(2, (1,), -1)  # value 1 dips below zero at once
-    with pytest.raises(ValueError):
-        SubtreeTask(2, (3,), 0)  # sum is actually 1
-    with pytest.raises(ValueError):
-        SubtreeTask(2, (3, 3), 2)  # repeated value
-    with pytest.raises(ValueError):
-        SubtreeTask(2, (4,), 2)  # out of range for N = 4
-    with pytest.raises(ValueError):
-        SubtreeTask(2, (2, 1, 3), 0)  # prefix (2, 1) dips negative
-    assert SubtreeTask(2, (3, 2), 1).running_sum == 1
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_tasks_carry_the_search_state(p):
+    # Each task's carried state, recomputed from its suffix alone: the
+    # running sum, the inversions counted pair by pair, and the falling
+    # factorials of the running exponents.
+    for depth in range(1, max(2, 2 * p - 1)):
+        for task in partition_work(p, depth):
+            suffix = task.fixed_suffix
+            sums = list(itertools.accumulate(v - p for v in suffix))
+            # suffix runs right to left: a smaller value first is an inversion
+            inversions = sum(1 for a, b in itertools.combinations(suffix, 2)
+                             if a < b)
+            assert task.p == p
+            assert task.running_sum == (sums[-1] if sums else 0)
+            assert task.parity == inversions % 2
+            assert task.product == math.prod(math.perm(t + p, p) for t in sums)
 
 
 def test_run_task_reference_values():
     # The two p = 2 subtrees, worked out by hand from the three
     # contributing permutations and their term values 72, 24, 24.
-    top = run_task(SubtreeTask(2, (3,), 1))
-    assert top == PartialResult(72 - 24, 1, 1, 2)
-    low = run_task(SubtreeTask(2, (2,), 0))
-    assert low == PartialResult(-24, 0, 1, 1)
+    low, top = partition_work(2, 1)
+    assert (low.fixed_suffix, top.fixed_suffix) == ((2,), (3,))
+    assert run_task(top) == PartialResult(72 - 24, 1, 1, 2)
+    assert run_task(low) == PartialResult(-24, 0, 1, 1)
 
 
 def test_run_task_is_pure():
-    task = SubtreeTask(3, (4, 3), 1)
+    (task,) = [task for task in partition_work(3, 2)
+               if task.fixed_suffix == (4, 3)]
     assert run_task(task) == run_task(task)
 
 
-def test_run_task_full_suffix():
-    # A task with every position fixed evaluates exactly its one leaf.
-    identity_suffix = tuple(range(3, 0, -1))  # (3, 2, 1) -> (1,2,3,4)
-    result = run_task(SubtreeTask(2, identity_suffix, 0))
-    assert result == PartialResult(72, 1, 0, 1)
-
-
 def test_run_task_counting_reports_attempts():
-    result, attempts = run_task_counting(SubtreeTask(2, (), 0))
+    # The p = 2 root: nothing placed, sum 0, even parity, empty product.
+    result, attempts = run_task_counting(SubtreeTask(2, (), 0, 0, 1))
     assert result.terms_evaluated == 3
     assert attempts >= 3
 
