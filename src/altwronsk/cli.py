@@ -16,7 +16,6 @@ import math
 import random
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from . import parallel
 from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
@@ -112,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenProcessPool as exc:
+    except RuntimeError as exc:  # a BrokenProcessPool among them
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except KeyboardInterrupt:
@@ -264,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_oracle(args):
-    if args.p > 4 and not args.slow:
+    if args.p > 8 and not args.slow:
         return _refuse(f"oracle mode sums {math.factorial(2 * args.p)} "
                        f"operator compositions at p={args.p}")
     engine_value = const_of_p(args.p).const_p

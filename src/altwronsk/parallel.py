@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -165,6 +164,10 @@ def run_tasks(tasks: list[SubtreeTask],
         for task in tasks:
             yield run_task_counting(task)
         return
+    # Imported here, so the commands that never start a pool do not pay
+    # for it at start-up.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(max_workers=workers) as executor:
         futures = [executor.submit(run_task_counting, task) for task in tasks]
         try:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import altwronsk
 from altwronsk import parallel
 from altwronsk.cli import main
 from altwronsk.engine import ConstReport, const_of_p
@@ -125,7 +129,7 @@ def test_verify_jsonl_record(capsys):
 
 
 @pytest.mark.parametrize(
-    "mode, p", [("oracle", 5), ("theorem-random", 3), ("generators", 5),
+    "mode, p", [("oracle", 9), ("theorem-random", 3), ("generators", 5),
                 ("oeis", 6)],
 )
 def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
@@ -169,6 +173,15 @@ def test_pool_failures_end_cleanly(capsys, monkeypatch, raised, code,
     got, out, err = run_cli(capsys, "const", "--p", "4", "--workers", "2",
                             "--no-progress")
     assert (got, out, err) == (code, "", message)
+
+
+def test_cli_import_leaves_the_pool_out():
+    # Only a command that starts a pool pays for importing one.
+    src_dir = os.path.dirname(os.path.dirname(altwronsk.__file__))
+    code = (f"import sys; sys.path.insert(0, {src_dir!r}); "
+            "import altwronsk.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_verify_unknown_mode(capsys):

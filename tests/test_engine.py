@@ -16,6 +16,7 @@ from altwronsk.engine import (
     term_coefficient,
     wronskian_of_monomials,
 )
+from altwronsk.oracle import brute_force_const
 from altwronsk.permutations import (
     enumerate_backtracking,
     enumerate_filtered,
@@ -27,9 +28,10 @@ from altwronsk.permutations import (
 P = parse_permutation
 
 # p, phi, even, odd, const - the cheap reference rows. The constants up to
-# p = 6 are also derived without the package (monomial composition, below);
-# p = 7 and 8 are checked through the subset DP only; their walks take
-# minutes and more.
+# p = 6 are also derived without the package (monomial composition, below),
+# and up to p = 7 by the literal oracle (last test); p = 8 is checked
+# through the subset DP here and by the oracle in CI. The walks at p >= 7
+# take minutes and more.
 REFERENCE_ROWS = [
     (1, 1, 1, 0, 1),
     (2, 3, 1, 2, 2),
@@ -299,3 +301,12 @@ def test_monomial_composition_gives_exact_constant(p, const):
     for exponents, m in draws:
         assert monomial_composition_const(p, exponents, m) == const, \
             (exponents, m)
+
+
+@pytest.mark.parametrize(
+    "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS
+                 if 5 <= row[0] <= 7])
+def test_literal_oracle_gives_reference_rows(p, const):
+    # The literal oracle sums every ordering over weight-index subsets; it
+    # shares no code with the DP that produced these rows.
+    assert brute_force_const(p) == const

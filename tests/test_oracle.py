@@ -83,19 +83,33 @@ def test_tree_walk_matches_literal_reference_on_monomials():
     assert got == Polynomial({0: 586656 * 24 * wronskian_of_monomials(8)})
 
 
-class _Composition:
-    """Stands in for a polynomial: the weight indices applied so far,
-    innermost first. Its one term encodes the ordering, outermost first, as
-    the decimal digits of the exponent."""
+class _Orderings:
+    """Stands in for a polynomial: an element of the free algebra of the
+    weights, a map from ordering word (weight indices, outermost first) to
+    coefficient. ``derivative`` is the identity and a weight's product puts
+    its index in front of every word, so each composition keeps its
+    ordering through the oracle's sums."""
 
-    def __init__(self, applied=()):
-        self.applied = applied
+    def __init__(self, words):
+        self.words = {word: c for word, c in words.items() if c}
+
+    def __bool__(self):
+        return bool(self.words)
+
+    def __add__(self, other):
+        words = dict(self.words)
+        for word, c in other.words.items():
+            words[word] = words.get(word, 0) + c
+        return _Orderings(words)
+
+    def __neg__(self):
+        return _Orderings({word: -c for word, c in self.words.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def derivative(self, order):
         return self
-
-    def terms(self):
-        return [(int("".join(map(str, reversed(self.applied)))), 1)]
 
 
 class _Weight:
@@ -103,18 +117,19 @@ class _Weight:
         self.index = index
 
     def __mul__(self, other):
-        return _Composition(other.applied + (self.index,))
+        return _Orderings({(self.index,) + word: c
+                           for word, c in other.words.items()})
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_carried_parity_is_permutation_sign(p):
+    # Every ordering appears exactly once, with its sign.
     n = 2 * p
     got = alternating_composition(p, [_Weight(j) for j in range(n)],
-                                  _Composition())
-    assert len(got.terms()) == math.factorial(n)
+                                  _Orderings({(): 1}))
+    assert len(got.words) == math.factorial(n)
     for order in itertools.permutations(range(n)):
-        exponent = int("".join(map(str, order)))
-        assert got.coefficient(exponent) == sign(order)
+        assert got.words[order] == sign(order)
 
 
 def test_alternating_composition_validates_arity():
@@ -126,11 +141,11 @@ def test_alternating_composition_validates_arity():
 
 def test_large_arity_warns():
     with pytest.warns(RuntimeWarning):
-        _check_arity(6, [ONE] * 12)
-    # p = 5 takes seconds, so it runs without a warning.
+        _check_arity(9, [ONE] * 18)
+    # p = 8 takes seconds, so it runs without a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _check_arity(5, [ONE] * 10) == 10
+        assert _check_arity(8, [ONE] * 16) == 16
 
 
 def test_antisymmetry_on_random_instances():
