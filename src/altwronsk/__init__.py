@@ -8,6 +8,10 @@ with a dynamic program over the sets of placed values (``subset_dp``),
 cross-checks it with a pruned backtracking walk that evaluates a
 falling-factorial product per contributing permutation, and verifies both
 against a literal symbolic-operator expansion.
+
+The verification side (``oracle`` and the exact ``polynomial`` arithmetic it
+runs on) is imported on first use of one of its names, so a process that
+only computes constants never loads it.
 """
 
 from .engine import (
@@ -19,15 +23,6 @@ from .engine import (
     subset_dp,
     term_coefficient,
     wronskian_of_monomials,
-)
-from .oracle import (
-    VerificationRecord,
-    alternating_composition,
-    brute_force_const,
-    monomial_weights,
-    random_polynomial,
-    symbolic_wronskian,
-    verify_theorem,
 )
 from .parallel import PartialResult
 from .permutations import (
@@ -43,9 +38,23 @@ from .permutations import (
     sign,
     suffix_partial_sums,
 )
-from .polynomial import Polynomial, monomial
 
 __version__ = "0.1.0"
+
+# Name -> the module that defines it, for the names loaded on first use.
+_ON_FIRST_USE = {
+    "oracle": None,
+    "polynomial": None,
+    "VerificationRecord": "oracle",
+    "alternating_composition": "oracle",
+    "brute_force_const": "oracle",
+    "monomial_weights": "oracle",
+    "random_polynomial": "oracle",
+    "symbolic_wronskian": "oracle",
+    "verify_theorem": "oracle",
+    "Polynomial": "polynomial",
+    "monomial": "polynomial",
+}
 
 __all__ = [
     "ConstReport",
@@ -78,3 +87,15 @@ __all__ = [
     "verify_theorem",
     "wronskian_of_monomials",
 ]
+
+
+def __getattr__(name: str):
+    # Called only for names not found in the module (PEP 562).
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    owner = _ON_FIRST_USE[name]
+    if owner is None:
+        return importlib.import_module(f"{__name__}.{name}")
+    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)

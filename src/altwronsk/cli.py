@@ -2,30 +2,26 @@
 
 Results go to stdout; progress and diagnostics to stderr. Exit codes:
 0 success/pass, 1 verification failure, 2 usage error or refusal,
-3 internal error (a failed consistency check or a crashed worker process),
-130 interrupted.
+3 internal error (a failed consistency check, a crashed worker process or
+any other unexpected ValueError or RuntimeError), 130 interrupted.
+
+A module that only some commands use (the oracle, ``random``, ``json``,
+``csv``) is imported where that command runs, so a cold process pays only
+for its own command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
-import random
 import sys
 import time
 
 from . import parallel
 from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
-from .oracle import (
-    brute_force_const,
-    random_polynomial,
-    random_weight_tuple,
-    verify_theorem,
-)
 from .permutations import (
+    FilterCapError,
     count_late_growing,
     enumerate_backtracking,
     enumerate_backtracking_signed,
@@ -105,13 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except FilterCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except RuntimeError as exc:  # a BrokenProcessPool among them
+    except (ValueError, RuntimeError) as exc:  # BrokenProcessPool is one
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except KeyboardInterrupt:
@@ -127,9 +123,13 @@ def _emit(fmt: str, records: list[dict], human_lines: list[str]) -> None:
         for line in human_lines:
             print(line)
     elif fmt == "jsonl":
+        import json
+
         for record in records:
             print(json.dumps(record))
     else:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(records[0].keys()))
         writer.writeheader()
@@ -266,6 +266,8 @@ def _verify_oracle(args):
     if args.p > 8 and not args.slow:
         return _refuse(f"oracle mode sums {math.factorial(2 * args.p)} "
                        f"operator compositions at p={args.p}")
+    from .oracle import brute_force_const
+
     engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
@@ -281,6 +283,10 @@ def _verify_theorem_random(args):
     if args.p > cap:
         return _refuse(f"theorem-random at p={args.p} composes "
                        f"{math.factorial(2 * args.p)} operators per trial")
+    import random
+
+    from .oracle import random_polynomial, random_weight_tuple, verify_theorem
+
     expected = const_of_p(args.p).const_p
     rng = random.Random(args.seed)
     failures = []

@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import parallel
 from .permutations import suffix_partial_sums
@@ -59,8 +58,7 @@ def wronskian_of_monomials(n: int) -> int:
     return math.prod(math.factorial(k) for k in range(n))
 
 
-@dataclass(frozen=True)
-class ConstReport:
+class ConstReport(NamedTuple):
     """Everything computed for one p: counts, exact sums, and ratios."""
 
     p: int

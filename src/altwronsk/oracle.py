@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import ExactDivisionError
 from .polynomial import ONE, ZERO, Polynomial, monomial
@@ -132,8 +131,7 @@ def symbolic_wronskian(weights: Sequence[Polynomial]) -> Polynomial:
     return minor(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one proportionality check.
 
     ``extracted_const`` is the exact ratio between the alternating
@@ -232,8 +230,14 @@ def random_weight_tuple(
 
     Dependent tuples make both sides of the proportionality vanish, so the
     ratio could not be extracted; they are redrawn. Deterministic for a
-    fixed rng state.
+    fixed rng state. Polynomials of degree at most ``max_degree`` span
+    max_degree + 1 dimensions, so a larger ``count`` is refused: every draw
+    would be dependent.
     """
+    if count > max_degree + 1:
+        raise ValueError(
+            f"{count} weights of degree <= {max_degree} are always linearly "
+            f"dependent; need count <= max_degree + 1 = {max_degree + 1}")
     while True:
         weights = [
             random_polynomial(rng, max_degree=max_degree,

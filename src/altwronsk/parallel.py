@@ -18,18 +18,17 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .permutations import pruned_suffixes
 
 PROGRESS_INTERVAL_S = 1.0
 
 
-@dataclass(frozen=True)
-class SubtreeTask:
+class SubtreeTask(NamedTuple):
     """One subtree of the pruned search, with the walk state at its root.
 
     ``fixed_suffix`` lists the placed 0-based values, rightmost first; the
@@ -45,18 +44,23 @@ class SubtreeTask:
     product: int
 
 
-@dataclass(frozen=True)
-class PartialResult:
+class PartialResult(namedtuple(
+        "PartialResult", "signed_sum even_count odd_count terms_evaluated")):
     """Exact accumulation over one subtree; addition is componentwise."""
 
-    signed_sum: int
-    even_count: int
-    odd_count: int
-    terms_evaluated: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.terms_evaluated != self.even_count + self.odd_count:
+    def __new__(cls, signed_sum: int, even_count: int, odd_count: int,
+                terms_evaluated: int) -> PartialResult:
+        if terms_evaluated != even_count + odd_count:
             raise ValueError("terms_evaluated must equal even_count + odd_count")
+        return super().__new__(cls, signed_sum, even_count, odd_count,
+                               terms_evaluated)
+
+    @classmethod
+    def _make(cls, iterable) -> PartialResult:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     def __add__(self, other: PartialResult) -> PartialResult:
         if not isinstance(other, PartialResult):

@@ -24,11 +24,19 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import bisect_left
 from typing import Iterator, Sequence
 
 # enumerate_filtered walks all N! permutations; beyond this N it refuses.
 DEFAULT_FILTER_CAP = 16
 FILTER_CAP_ENV = "ALTWRONSK_V1_MAX_N"
+
+
+class FilterCapError(ValueError):
+    """``enumerate_filtered`` refuses N: past its cap, or the cap is malformed.
+
+    A usage error, not a bug: the CLI reports it with the usage exit code.
+    """
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -126,11 +134,11 @@ def enumerate_filtered(p: int, max_n: int | None = None) -> Iterator[tuple[int, 
         try:
             max_n = int(raw)
         except ValueError:
-            raise ValueError(
+            raise FilterCapError(
                 f"{FILTER_CAP_ENV} must be an integer, got {raw!r}"
             ) from None
     if n > max_n:
-        raise ValueError(
+        raise FilterCapError(
             f"N = {n} exceeds the exhaustive-filter cap {max_n} "
             f"({math.factorial(n)} permutations); use enumerate_backtracking"
         )
@@ -156,31 +164,48 @@ def pruned_suffixes(
     is kept incrementally. ``length`` is at most N - 1; at N - 1 every
     yield is a complete contributing permutation.
 
+    One loop with an explicit stack does the search. The pool of remaining
+    values stays sorted, so at running sum t the feasible candidates, those
+    with v >= p - t, start at ``bisect_left(pool, p - t)``.
+
     ``counter``, when given, has its first element incremented once per
     candidate placement attempted (pruned or not) - instrumentation for
-    benchmarking.
+    benchmarking. Every remaining value is a candidate, so each node below
+    ``length`` adds the size of its pool.
     """
     pool = list(range(1, 2 * p))
     suffix: list[int] = []
-
-    def walk(t: int, parity: int) -> Iterator[tuple[list[int], int, int]]:
-        if len(suffix) == length:
-            yield suffix, t, parity
-            return
-        for idx in range(len(pool)):
-            v = pool[idx]
-            if counter is not None:
-                counter[0] += 1
-            t2 = t + v - p
-            if t2 < 0:
-                continue
-            pool.pop(idx)
+    if length == 0:
+        yield suffix, 0, 0
+        return
+    last = length - 1  # a node at this depth yields its children directly
+    frames: list[tuple[int, int, int]] = []  # (t, parity, idx) per placement
+    t = parity = 0
+    idx = bisect_left(pool, p)
+    if counter is not None:
+        counter[0] += len(pool)
+    while True:
+        if len(suffix) == last:
+            for i in range(idx, len(pool)):
+                v = pool[i]
+                suffix.append(v)
+                yield suffix, t + v - p, parity ^ ((v - 1 - i) & 1)
+                suffix.pop()
+        elif idx < len(pool):
+            v = pool.pop(idx)
             suffix.append(v)
-            yield from walk(t2, parity ^ ((v - 1 - idx) & 1))
-            suffix.pop()
-            pool.insert(idx, v)
-
-    return walk(0, 0)
+            frames.append((t, parity, idx))
+            t += v - p
+            parity ^= (v - 1 - idx) & 1
+            if counter is not None:
+                counter[0] += len(pool)
+            idx = bisect_left(pool, p - t)
+            continue
+        if not frames:
+            return
+        t, parity, idx = frames.pop()
+        pool.insert(idx, suffix.pop())
+        idx += 1
 
 
 def enumerate_backtracking_signed(

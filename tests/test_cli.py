@@ -175,13 +175,49 @@ def test_pool_failures_end_cleanly(capsys, monkeypatch, raised, code,
     assert (got, out, err) == (code, "", message)
 
 
+def _fresh_interpreter(statements: str) -> str:
+    """stdout of a new interpreter that runs ``statements`` with src on the path."""
+    src_dir = os.path.dirname(os.path.dirname(altwronsk.__file__))
+    code = f"import sys; sys.path.insert(0, {src_dir!r}); {statements}"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def _loaded_by_cli_import(modules: list[str]) -> list[str]:
+    """Those of ``modules`` that a cold ``import altwronsk.cli`` loads."""
+    return _fresh_interpreter(
+        f"import altwronsk.cli; "
+        f"print(*[m for m in {modules!r} if m in sys.modules])").split()
+
+
 def test_cli_import_leaves_the_pool_out():
     # Only a command that starts a pool pays for importing one.
-    src_dir = os.path.dirname(os.path.dirname(altwronsk.__file__))
-    code = (f"import sys; sys.path.insert(0, {src_dir!r}); "
-            "import altwronsk.cli; "
-            "sys.exit('concurrent.futures' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert _loaded_by_cli_import(["concurrent.futures"]) == []
+
+
+def test_cli_import_leaves_out_what_only_some_commands_run():
+    # The oracle modes of verify load the oracle side; jsonl and csv output
+    # load their own encoders; no record needs dataclasses (and inspect).
+    assert _loaded_by_cli_import(
+        ["dataclasses", "inspect", "json", "csv", "altwronsk.oracle",
+         "altwronsk.polynomial"]) == []
+
+
+def test_every_public_name_resolves():
+    # The oracle side is resolved on first use; star-import and attribute
+    # access must both find every name of __all__.
+    assert _fresh_interpreter(
+        "import altwronsk; "
+        "print('altwronsk.oracle' in sys.modules); "
+        "from altwronsk import *; "
+        "print([n for n in altwronsk.__all__ if n not in globals()])"
+    ).splitlines() == ["False", "[]"]
+    from altwronsk import oracle, polynomial
+
+    assert altwronsk.brute_force_const is oracle.brute_force_const
+    assert altwronsk.Polynomial is polynomial.Polynomial
+    with pytest.raises(AttributeError):
+        altwronsk.no_such_name
 
 
 def test_verify_unknown_mode(capsys):
@@ -258,3 +294,16 @@ def test_internal_consistency_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "const", "--p", "2")
     assert code == 3
     assert "internal consistency" in err
+
+
+def test_internal_value_error_exit_code(capsys, monkeypatch):
+    # A ValueError that no argument caused is a bug, not a usage error.
+    import altwronsk.cli as cli
+
+    def induced_failure(*args, **kwargs):
+        raise ValueError("induced internal ValueError")
+
+    monkeypatch.setattr(cli, "const_of_p", induced_failure)
+    code, out, err = run_cli(capsys, "const", "--p", "2")
+    assert (code, out, err) == (3, "", "internal error: induced internal "
+                                "ValueError\n")

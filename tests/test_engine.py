@@ -16,7 +16,7 @@ from altwronsk.engine import (
     term_coefficient,
     wronskian_of_monomials,
 )
-from altwronsk.oracle import brute_force_const
+from altwronsk.oracle import VerificationRecord, brute_force_const
 from altwronsk.permutations import (
     enumerate_backtracking,
     enumerate_filtered,
@@ -235,6 +235,19 @@ def test_report_record_round_trip():
     assert ConstReport.from_record(
         {key: str(value) for key, value in record.items()}
     ) == report
+
+
+@pytest.mark.parametrize(
+    "record",
+    [const_of_p(2), parallel.partition_work(3, 2)[0], subset_dp(2),
+     VerificationRecord(True, Fraction(2))],
+    ids=["ConstReport", "SubtreeTask", "PartialResult", "VerificationRecord"])
+def test_records_reject_attribute_assignment(record):
+    first = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(AttributeError):
+        record.extra = 1
 
 
 def test_signed_sum_dominated_by_positive_terms():

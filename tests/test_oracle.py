@@ -272,6 +272,19 @@ def test_random_weight_tuple_is_independent():
         random_weight_tuple(random.Random(5), 2)
 
 
+def test_random_weight_tuple_refuses_a_count_it_cannot_draw():
+    # Seven weights of degree <= 5 are always dependent: refused before any
+    # draw, rather than redrawn forever.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"7 weights of degree <= 5"):
+        random_weight_tuple(rng, 7)
+    assert rng.getstate() == state
+    weights = random_weight_tuple(random.Random(0), 8, max_degree=9)
+    assert len(weights) == 8
+    assert symbolic_wronskian(weights)
+
+
 def test_random_polynomial_contract():
     rng = random.Random(0)
     for _ in range(100):

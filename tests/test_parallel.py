@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -116,6 +117,20 @@ def test_run_task_counting_reports_attempts():
 def test_partial_result_validation():
     with pytest.raises(ValueError):
         PartialResult(0, 1, 1, 3)
+    with pytest.raises(ValueError):
+        PartialResult._make((0, 1, 1, 3))
+    with pytest.raises(ValueError):
+        PartialResult(0, 1, 1, 2)._replace(terms_evaluated=3)
+
+
+@pytest.mark.parametrize(
+    "record", [partition_work(3, 2)[0], PartialResult(5, 2, 1, 3)],
+    ids=["SubtreeTask", "PartialResult"])
+def test_records_survive_pickling(record):
+    # The process pool ships tasks and results between processes by pickle.
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record
+    assert type(again) is type(record)
 
 
 def test_reduce_monoid():
