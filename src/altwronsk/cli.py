@@ -5,6 +5,12 @@ Results go to stdout; progress and diagnostics to stderr. Exit codes:
 3 internal error (a failed consistency check, a crashed worker process or
 any other unexpected ValueError or RuntimeError), 130 interrupted.
 
+A command whose work grows too fast with p (``verify`` modes ``oracle``,
+``theorem-random``, ``generators`` and ``oeis``, and ``bench --algo v1``)
+checks p against its two caps, without and with ``--slow``, before doing
+any work (``_check_cap``); past them it ends with one ``refusing: ...``
+line and exit 2.
+
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
 for its own command.
@@ -21,7 +27,7 @@ import time
 from . import parallel
 from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
 from .permutations import (
-    FilterCapError,
+    FILTER_MAX_N,
     count_late_growing,
     enumerate_backtracking,
     enumerate_backtracking_signed,
@@ -35,6 +41,30 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+
+# The largest p the exhaustive filter runs without --slow: it walks all
+# (2p)! permutations, 3.6 M (about 1.5 s) at p = 5.
+_FILTER_COMFORTABLE_P = 4
+
+
+class Refused(Exception):
+    """A command declines a p it could not finish in reasonable time."""
+
+
+def _check_cap(p: int, slow: bool, cap: int, slow_cap: int | None,
+               reason: str) -> None:
+    """Raise ``Refused`` unless p is within the cap that applies.
+
+    ``cap`` is the largest p a command runs without ``--slow`` and
+    ``slow_cap`` the largest with it (None: no cap). The refusal suggests
+    ``--slow`` only when that would let this p run.
+    """
+    if p <= cap:
+        return
+    lifted = slow_cap is None or p <= slow_cap
+    if slow and lifted:
+        return
+    raise Refused(f"{reason} (pass --slow to override)" if lifted else reason)
 
 
 def _positive(text: str) -> int:
@@ -101,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except FilterCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Refused as exc:
+        print(f"refusing: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
@@ -154,16 +184,29 @@ def _phi_fraction(phi_size: int, n_factorial: int) -> str:
     return f"1/{k}" if remainder == 0 else f"≈1/{k}"
 
 
+def _cells(report: ConstReport) -> dict[str, str]:
+    """Every human-readable field of a report, by its column name."""
+    n_factorial = math.factorial(2 * report.p)
+    return {
+        "p": str(report.p),
+        "p!": _underscored(math.factorial(report.p)),
+        "N!": _underscored(n_factorial),
+        "|Phi_p|": _underscored(report.phi_size),
+        "|Phi_p|/N!": _phi_fraction(report.phi_size, n_factorial),
+        "even": _underscored(report.even_count),
+        "odd": _underscored(report.odd_count),
+        "const(p)": _underscored(report.const_p),
+        "signed_sum": _underscored(report.signed_sum),
+        "wronskian": _underscored(report.wronskian),
+        "const(p)/p!": _display_ratio(report.ratio_p_factorial),
+        "const(p)/N!": _display_ratio(report.ratio_N_factorial),
+    }
+
+
 def _aligned(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return lines
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+            for row in [headers, *rows]]
 
 
 # -- const ----------------------------------------------------------------
@@ -172,30 +215,20 @@ def _aligned(headers: list[str], rows: list[list[str]]) -> list[str]:
 def cmd_const(args: argparse.Namespace) -> int:
     report = const_of_p(args.p, workers=args.workers,
                         progress=not args.no_progress)
-    _emit(args.format, [report.to_record()], _human_const(report))
+    cells = _cells(report)
+    del cells["p!"]
+    width = max(map(len, cells))
+    lines = [f"{name.ljust(width)} = {value}" for name, value in cells.items()]
+    _emit(args.format, [report.to_record()], lines)
     return EXIT_OK
 
 
-def _human_const(report: ConstReport) -> list[str]:
-    n_factorial = math.factorial(2 * report.p)
-    pairs = [
-        ("p", str(report.p)),
-        ("N!", _underscored(n_factorial)),
-        ("|Phi_p|", _underscored(report.phi_size)),
-        ("|Phi_p|/N!", _phi_fraction(report.phi_size, n_factorial)),
-        ("even", _underscored(report.even_count)),
-        ("odd", _underscored(report.odd_count)),
-        ("const(p)", _underscored(report.const_p)),
-        ("signed_sum", _underscored(report.signed_sum)),
-        ("wronskian", _underscored(report.wronskian)),
-        ("const(p)/p!", _display_ratio(report.ratio_p_factorial)),
-        ("const(p)/N!", _display_ratio(report.ratio_N_factorial)),
-    ]
-    width = max(len(name) for name, _ in pairs)
-    return [f"{name.ljust(width)} = {value}" for name, value in pairs]
-
-
 # -- table ----------------------------------------------------------------
+
+TABLE_COLUMNS = {
+    2: ["p", "N!", "|Phi_p|", "|Phi_p|/N!", "even", "odd", "const(p)"],
+    3: ["p", "p!", "N!", "const(p)", "const(p)/p!", "const(p)/N!"],
+}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -203,45 +236,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         const_of_p(p, progress=not args.no_progress)
         for p in range(1, args.max_p + 1)
     ]
-    records = [report.to_record() for report in reports]
-    if args.which == 2:
-        headers = ["p", "N!", "|Phi_p|", "|Phi_p|/N!", "even", "odd",
-                   "const(p)"]
-        rows = []
-        for report in reports:
-            n_factorial = math.factorial(2 * report.p)
-            rows.append([
-                str(report.p),
-                _underscored(n_factorial),
-                _underscored(report.phi_size),
-                _phi_fraction(report.phi_size, n_factorial),
-                _underscored(report.even_count),
-                _underscored(report.odd_count),
-                _underscored(report.const_p),
-            ])
-    else:
-        headers = ["p", "p!", "N!", "const(p)", "const(p)/p!", "const(p)/N!"]
-        rows = [
-            [
-                str(report.p),
-                _underscored(math.factorial(report.p)),
-                _underscored(math.factorial(2 * report.p)),
-                _underscored(report.const_p),
-                _display_ratio(report.ratio_p_factorial),
-                _display_ratio(report.ratio_N_factorial),
-            ]
-            for report in reports
-        ]
-    _emit(args.format, records, _aligned(headers, rows))
+    headers = TABLE_COLUMNS[args.which]
+    rows = [[cells[h] for h in headers] for cells in map(_cells, reports)]
+    _emit(args.format, [report.to_record() for report in reports],
+          _aligned(headers, rows))
     return EXIT_OK
 
 
 # -- verify ---------------------------------------------------------------
-
-
-def _refuse(message: str) -> int:
-    print(f"refusing: {message} (pass --slow to override)", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -252,10 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "oeis": _verify_oeis,
         "parity": _verify_parity,
     }[args.mode]
-    outcome = runner(args)
-    if isinstance(outcome, int):  # refusal already reported
-        return outcome
-    passed, record, lines = outcome
+    passed, record, lines = runner(args)
     record = {"command": "verify", "mode": args.mode, "p": args.p,
               "passed": passed, **record}
     _emit(args.format, [record], lines)
@@ -263,11 +262,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_oracle(args):
-    if args.p > 8 and not args.slow:
-        return _refuse(f"oracle mode sums {math.factorial(2 * args.p)} "
-                       f"operator compositions at p={args.p}")
-    from .oracle import brute_force_const
+    from .oracle import _COMFORTABLE_MAX_P, brute_force_const
 
+    _check_cap(args.p, args.slow, _COMFORTABLE_MAX_P, None,
+               f"oracle mode sums {math.factorial(2 * args.p)} "
+               f"operator compositions at p={args.p}")
     engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
@@ -279,10 +278,11 @@ def _verify_oracle(args):
 
 
 def _verify_theorem_random(args):
-    cap = 3 if args.slow else 2
-    if args.p > cap:
-        return _refuse(f"theorem-random at p={args.p} composes "
-                       f"{math.factorial(2 * args.p)} operators per trial")
+    # With --slow, p = 3: oracle.random_weight_tuple draws weights of degree
+    # <= 5, and 2p independent ones exist only up to p = 3.
+    _check_cap(args.p, args.slow, 2, 3,
+               f"theorem-random at p={args.p} composes "
+               f"{math.factorial(2 * args.p)} operators per trial")
     import random
 
     from .oracle import random_polynomial, random_weight_tuple, verify_theorem
@@ -315,9 +315,9 @@ def _verify_theorem_random(args):
 
 
 def _verify_generators(args):
-    if args.p > 4 and not args.slow:
-        return _refuse(f"generator comparison filters all "
-                       f"{math.factorial(2 * args.p)} permutations at p={args.p}")
+    _check_cap(args.p, args.slow, _FILTER_COMFORTABLE_P, FILTER_MAX_N // 2,
+               f"generator comparison filters all "
+               f"{math.factorial(2 * args.p)} permutations at p={args.p}")
     filtered = set(enumerate_filtered(args.p))
     generated = set(enumerate_backtracking(args.p))
     passed = filtered == generated
@@ -332,8 +332,8 @@ def _verify_generators(args):
 
 
 def _verify_oeis(args):
-    if args.p > 5 and not args.slow:
-        return _refuse(f"oeis mode streams the contributing set at p={args.p}")
+    _check_cap(args.p, args.slow, 5, None,
+               f"oeis mode streams the contributing set at p={args.p}")
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)
     passed = phi_size == late
@@ -360,11 +360,9 @@ def _verify_parity(args):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.algo == "v1":
-        if args.p > 4:
-            print(f"refusing: the exhaustive filter walks "
-                  f"{math.factorial(2 * args.p)} permutations at p={args.p}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        _check_cap(args.p, False, _FILTER_COMFORTABLE_P, _FILTER_COMFORTABLE_P,
+                   f"the exhaustive filter walks "
+                   f"{math.factorial(2 * args.p)} permutations at p={args.p}")
         started = time.perf_counter()
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         elapsed = time.perf_counter() - started

@@ -12,31 +12,24 @@ derivative-operator term survives: sigma(1) = 1 and every suffix partial sum
 T_k = sum over the last k entries of (value - p) stays non-negative (the
 running exponent of x never dips below zero during the right-to-left operator
 applications). ``enumerate_filtered`` realises the definition by filtering
-all of S_N. ``pruned_suffixes`` is the one pruned search of the package: it
-fills positions right to left and abandons any branch whose running sum
-would go negative. At full length it is the contributing-set stream
-(``enumerate_backtracking_signed``); cut at a smaller length it yields the
-subtrees that ``parallel.partition_work`` hands out as tasks.
+all of S_N, for N up to ``FILTER_MAX_N``. ``pruned_suffixes`` is the one
+pruned search of the package: it fills positions right to left and abandons
+any branch whose running sum would go negative. At full length it is the
+contributing-set stream (``enumerate_backtracking_signed``); cut at a
+smaller length it yields the subtrees that ``parallel.partition_work``
+hands out as tasks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from bisect import bisect_left
 from typing import Iterator, Sequence
 
-# enumerate_filtered walks all N! permutations; beyond this N it refuses.
-DEFAULT_FILTER_CAP = 16
-FILTER_CAP_ENV = "ALTWRONSK_V1_MAX_N"
-
-
-class FilterCapError(ValueError):
-    """``enumerate_filtered`` refuses N: past its cap, or the cap is malformed.
-
-    A usage error, not a bug: the CLI reports it with the usage exit code.
-    """
+# enumerate_filtered walks all N! permutations, about 2.5 M a second: 16!
+# alone would take about 100 days, so no larger N can ever finish.
+FILTER_MAX_N = 16
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -118,28 +111,19 @@ def is_contributing(perm: Sequence[int], p: int) -> bool:
     return True
 
 
-def enumerate_filtered(p: int, max_n: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
     """All contributing permutations for N = 2p by filtering S_N.
 
     Reference path: walks every one of the N! permutations in lexicographic
-    order and keeps the contributing ones. Refuses N beyond ``max_n``
-    (default from the environment variable ALTWRONSK_V1_MAX_N, else 16);
-    the backtracking generator has no such cap.
+    order and keeps the contributing ones. Raises ``ValueError`` for N
+    beyond ``FILTER_MAX_N``; the backtracking generator has no such cap.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = 2 * p
-    if max_n is None:
-        raw = os.environ.get(FILTER_CAP_ENV, str(DEFAULT_FILTER_CAP))
-        try:
-            max_n = int(raw)
-        except ValueError:
-            raise FilterCapError(
-                f"{FILTER_CAP_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if n > max_n:
-        raise FilterCapError(
-            f"N = {n} exceeds the exhaustive-filter cap {max_n} "
+    if n > FILTER_MAX_N:
+        raise ValueError(
+            f"N = {n} exceeds the exhaustive-filter cap {FILTER_MAX_N} "
             f"({math.factorial(n)} permutations); use enumerate_backtracking"
         )
     for perm in itertools.permutations(range(n)):

@@ -152,17 +152,10 @@ def test_filtered_emits_in_lexicographic_order():
 
 
 def test_filtered_respects_cap():
-    with pytest.raises(ValueError):
-        list(enumerate_filtered(9))  # N = 18 > default cap 16
-    with pytest.raises(ValueError):
-        list(enumerate_filtered(3, max_n=4))
-
-
-def test_filtered_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("ALTWRONSK_V1_MAX_N", "4")
-    with pytest.raises(ValueError):
-        list(enumerate_filtered(3))
-    assert sum(1 for _ in enumerate_filtered(2)) == 3
+    # N = 16 starts (the identity comes first); N = 18 is refused at once.
+    assert next(enumerate_filtered(8)) == tuple(range(16))
+    with pytest.raises(ValueError, match="N = 18 exceeds"):
+        next(enumerate_filtered(9))
 
 
 def test_backtracking_order_is_deterministic():
