@@ -19,7 +19,6 @@ cross-check of the fast engine.
 
 from __future__ import annotations
 
-import math
 import random
 import warnings
 from fractions import Fraction
@@ -88,8 +87,8 @@ def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     if p > _COMFORTABLE_MAX_P:
         warnings.warn(
-            f"summing over {math.factorial(n)} operator compositions (p={p}); "
-            "this will take a while",
+            f"the literal oracle takes 2^{n} derivatives and {n} * 2^{n - 1} "
+            f"products (p={p}); this will take a while",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -153,9 +152,8 @@ def verify_theorem(
     across every coefficient by cross-multiplication, avoiding polynomial
     division. A default f = x^(3p) guarantees a nonzero p-th derivative.
     """
-    n = _check_arity(p, weights)
     if f is None:
-        f = monomial(p + n)
+        f = monomial(p + len(weights))
     lhs = alternating_composition(p, weights, f)
     rhs = symbolic_wronskian(weights) * f.derivative(p)
     if not rhs:
@@ -176,30 +174,22 @@ def monomial_weights(n: int) -> list[Polynomial]:
 
 
 def brute_force_const(p: int) -> int:
-    """The universal constant by full symmetric-group expansion.
+    """The universal constant by the literal oracle on monomial weights.
 
-    Uses the monomial weights and f = x^p (so the p-th derivative of f is
-    p!), evaluates all (2p)! operator compositions literally, and divides
-    out the symbolic Wronskian exactly. No pruning, no per-term closed
-    form: this is the slow path the fast engine is checked against.
+    ``verify_theorem`` with the weights 1, x, ..., x^(2p-1) and f = x^p:
+    every ordering's composition, summed over weight-index subsets (2^(2p)
+    derivatives and 2p * 2^(2p-1) products), against the symbolic Wronskian
+    times p!. No pruning, no per-term closed form: this is the slow path
+    the fast engine is checked against. Raises ``ExactDivisionError``
+    unless the two sides are proportional with an integer ratio.
     """
-    n = 2 * p
-    weights = monomial_weights(n)
-    total = alternating_composition(p, weights, monomial(p))
-    if total.degree not in (None, 0):
+    record = verify_theorem(p, monomial_weights(2 * p), monomial(p))
+    const = record.extracted_const
+    if not record.holds or const is None or const.denominator != 1:
         raise ExactDivisionError(
-            f"full alternating sum is not constant (degree {total.degree}); "
-            "this is a bug"
-        )
-    wronskian = symbolic_wronskian(weights)
-    denominator = math.factorial(p) * wronskian.coefficient(0)
-    const, remainder = divmod(total.coefficient(0), denominator)
-    if remainder:
-        raise ExactDivisionError(
-            f"alternating sum {total.coefficient(0)} is not a multiple of "
-            f"p! * Wronskian = {denominator} (p={p}); this is a bug"
-        )
-    return const
+            f"alternating sum is not an integer multiple of p! * Wronskian "
+            f"(p={p}, ratio {const}); this is a bug")
+    return const.numerator
 
 
 def random_polynomial(
@@ -223,26 +213,18 @@ def random_polynomial(
     return Polynomial(coeffs)
 
 
-def random_weight_tuple(
-    rng: random.Random, count: int, max_degree: int = 5, coeff_bound: int = 9
-) -> list[Polynomial]:
+def random_weight_tuple(rng: random.Random, count: int) -> list[Polynomial]:
     """Random weights with a nonzero Wronskian (linearly independent).
 
-    Dependent tuples make both sides of the proportionality vanish, so the
-    ratio could not be extracted; they are redrawn. Deterministic for a
-    fixed rng state. Polynomials of degree at most ``max_degree`` span
-    max_degree + 1 dimensions, so a larger ``count`` is refused: every draw
-    would be dependent.
+    Each weight has degree at most max(5, count - 1), so count independent
+    ones always exist; for a count up to 6 the bound is 5 whatever the
+    count, which keeps those draws fixed. Dependent tuples make both sides
+    of the proportionality vanish, so the ratio could not be extracted;
+    they are redrawn. Deterministic for a fixed rng state.
     """
-    if count > max_degree + 1:
-        raise ValueError(
-            f"{count} weights of degree <= {max_degree} are always linearly "
-            f"dependent; need count <= max_degree + 1 = {max_degree + 1}")
+    max_degree = max(5, count - 1)
     while True:
-        weights = [
-            random_polynomial(rng, max_degree=max_degree,
-                              coeff_bound=coeff_bound)
-            for _ in range(count)
-        ]
+        weights = [random_polynomial(rng, max_degree=max_degree)
+                   for _ in range(count)]
         if symbolic_wronskian(weights):
             return weights

@@ -138,8 +138,8 @@ def test_table_rejects_bad_which(capsys):
 
 @pytest.mark.parametrize(
     "mode, p",
-    [("oracle", 2), ("theorem-random", 1), ("generators", 2),
-     ("oeis", 2), ("parity", 3)],
+    [("oracle", 2), ("theorem-random", 1), ("theorem-random", 4),
+     ("theorem-random", 5), ("generators", 2), ("oeis", 2), ("parity", 3)],
 )
 def test_verify_modes_pass(capsys, mode, p):
     code, out, _ = run_cli(capsys, "verify", "--p", str(p), "--mode", mode,
@@ -173,7 +173,7 @@ def _refusal(capsys, *argv) -> str:
 
 
 @pytest.mark.parametrize(
-    "mode, p", [("oracle", 9), ("theorem-random", 3), ("generators", 5),
+    "mode, p", [("oracle", 9), ("theorem-random", 6), ("generators", 5),
                 ("oeis", 6)],
 )
 def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
@@ -183,9 +183,7 @@ def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--p", "4", "--mode", "theorem-random", "--slow"),
-     ("verify", "--p", "4", "--mode", "theorem-random"),
-     ("verify", "--p", "9", "--mode", "generators", "--slow"),
+    [("verify", "--p", "9", "--mode", "generators", "--slow"),
      ("verify", "--p", "9", "--mode", "generators"),
      ("bench", "--p", "5", "--algo", "v1")],
     ids=" ".join,
@@ -200,11 +198,27 @@ def test_verify_oeis_p5_runs_without_slow(capsys):
     assert out == "PASS oeis p=5: |Phi_p|=53109 late-growing(10)=53109\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--p", "1000", "--mode", "oracle"),
+     ("verify", "--p", "1000", "--mode", "theorem-random"),
+     ("verify", "--p", "1000", "--mode", "generators"),
+     ("verify", "--p", "1000", "--mode", "generators", "--slow"),
+     ("verify", "--p", "1000", "--mode", "oeis"),
+     ("bench", "--p", "1000", "--algo", "v1")],
+    ids=" ".join,
+)
+def test_refusal_at_large_p_is_a_refusal(capsys, argv):
+    # (2p)! has 5,736 digits here, more than an int may print: the reason
+    # names the count rather than printing it.
+    assert len(_refusal(capsys, *argv)) < 200
+
+
 def test_verify_theorem_random_slow_extends_cap(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "3", "--mode",
+    code, out, _ = run_cli(capsys, "verify", "--p", "6", "--mode",
                            "theorem-random", "--trials", "1", "--slow")
     assert code == 0
-    assert "expected=90" in out
+    assert "expected=7886133184567796056800" in out
 
 
 @pytest.mark.parametrize(
@@ -249,6 +263,17 @@ def test_cli_import_leaves_out_what_only_some_commands_run():
     assert _loaded_by_cli_import(
         ["dataclasses", "inspect", "json", "csv", "altwronsk.oracle",
          "altwronsk.polynomial"]) == []
+
+
+def test_python_dash_m_runs_the_cli():
+    src_dir = os.path.dirname(os.path.dirname(altwronsk.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    done = subprocess.run(
+        [sys.executable, "-m", "altwronsk.cli", "const", "--p", "2",
+         "--format", "jsonl", "--no-progress"],
+        capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert ConstReport.from_record(json.loads(done.stdout)) == const_of_p(2)
 
 
 def test_every_public_name_resolves():

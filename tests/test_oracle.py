@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from altwronsk.engine import term_coefficient, wronskian_of_monomials
+from altwronsk import oracle
+from altwronsk.engine import (
+    ExactDivisionError,
+    term_coefficient,
+    wronskian_of_monomials,
+)
 from altwronsk.oracle import (
     _check_arity,
     alternating_composition,
@@ -140,7 +145,8 @@ def test_alternating_composition_validates_arity():
 
 
 def test_large_arity_warns():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match=r"2\^18 derivatives and 18 \* "
+                                            r"2\^17 products \(p=9\)"):
         _check_arity(9, [ONE] * 18)
     # p = 8 takes seconds, so it runs without a warning.
     with warnings.catch_warnings():
@@ -250,6 +256,28 @@ def test_brute_force_const_small():
     assert brute_force_const(3) == 90
 
 
+def test_brute_force_const_warns_once_past_the_comfortable_arity(
+        monkeypatch):
+    monkeypatch.setattr(oracle, "_COMFORTABLE_MAX_P", 1)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert brute_force_const(2) == 2
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [oracle.VerificationRecord(holds=False, extracted_const=None),
+     oracle.VerificationRecord(holds=True, extracted_const=None),
+     oracle.VerificationRecord(holds=True, extracted_const=Fraction(3, 2))],
+    ids=["not-proportional", "indeterminate", "not-an-integer"],
+)
+def test_brute_force_const_refuses_anything_but_an_integer_ratio(
+        monkeypatch, record):
+    monkeypatch.setattr(oracle, "verify_theorem", lambda *args: record)
+    with pytest.raises(ExactDivisionError, match="p=2"):
+        brute_force_const(2)
+
+
 def test_extracted_constant_is_universal():
     # The fitted ratio does not depend on the weight or f draw.
     rng = random.Random(99)
@@ -272,17 +300,29 @@ def test_random_weight_tuple_is_independent():
         random_weight_tuple(random.Random(5), 2)
 
 
-def test_random_weight_tuple_refuses_a_count_it_cannot_draw():
-    # Seven weights of degree <= 5 are always dependent: refused before any
-    # draw, rather than redrawn forever.
-    rng = random.Random(0)
-    state = rng.getstate()
-    with pytest.raises(ValueError, match=r"7 weights of degree <= 5"):
-        random_weight_tuple(rng, 7)
-    assert rng.getstate() == state
-    weights = random_weight_tuple(random.Random(0), 8, max_degree=9)
-    assert len(weights) == 8
+@pytest.mark.parametrize("count", [7, 8, 9, 10])
+def test_random_weight_tuple_degree_follows_count(count):
+    # Past six weights the degree bound grows to count - 1, so count
+    # independent weights can always be drawn.
+    weights = random_weight_tuple(random.Random(count), count)
+    assert len(weights) == count
+    assert max(w.degree for w in weights) <= count - 1
     assert symbolic_wronskian(weights)
+
+
+def test_random_weight_tuple_draws_are_fixed_up_to_six():
+    # Up to six weights the degree bound is 5 whatever the count, so these
+    # draws, and every seeded theorem-random run at p <= 3, never change.
+    rng = random.Random(2026)
+    assert [[str(w) for w in random_weight_tuple(rng, count)]
+            for count in (2, 4, 6)] == [
+        ["1", "4*x^4 + 8*x^3 - 2*x^2 - 6*x + 7"],
+        ["3*x^3 + 2*x^2 + 2*x - 1", "8*x^5 + 8*x^4 - 7*x^3 + x^2 - 7*x + 7",
+         "-5*x^2 + 5*x", "5*x^5 + 2*x^4 + 2*x^3 - 9*x^2 + 9"],
+        ["8*x^3 + 4*x^2 + 6*x + 7", "5*x^5 - 6*x^4 + 5*x^3 + x^2 - 8",
+         "6*x^5 + 4*x^4 - 4*x^3 + 5*x^2 - x + 7", "-1",
+         "4*x^3 - 3*x^2 - 6*x + 2", "-9*x + 5"],
+    ]
 
 
 def test_random_polynomial_contract():
