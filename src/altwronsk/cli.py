@@ -32,6 +32,7 @@ from .permutations import (
     enumerate_backtracking,
     enumerate_backtracking_signed,
     enumerate_filtered,
+    format_permutation,
 )
 
 FORMATS = ("human", "jsonl", "csv")
@@ -51,17 +52,17 @@ class Refused(Exception):
     """A command declines a p it could not finish in reasonable time."""
 
 
-def _check_cap(p: int, slow: bool, cap: int, slow_cap: int | None,
+def _check_cap(p: int, slow: bool, cap: int, slow_cap: int,
                reason: str) -> None:
     """Raise ``Refused`` unless p is within the cap that applies.
 
     ``cap`` is the largest p a command runs without ``--slow`` and
-    ``slow_cap`` the largest with it (None: no cap). The refusal suggests
-    ``--slow`` only when that would let this p run.
+    ``slow_cap`` the largest with it. The refusal suggests ``--slow`` only
+    when that would let this p run.
     """
     if p <= cap:
         return
-    lifted = slow_cap is None or p <= slow_cap
+    lifted = p <= slow_cap
     if slow and lifted:
         return
     raise Refused(f"{reason} (pass --slow to override)" if lifted else reason)
@@ -74,11 +75,6 @@ def _orderings(p: int) -> str:
     if limit and math.lgamma(2 * p + 1) >= limit * math.log(10):
         return "(2p)!"
     return str(math.factorial(2 * p))
-
-
-def _oracle_cost(p: int) -> str:
-    n = 2 * p
-    return f"2^{n} derivatives and {n} * 2^{n - 1} products"
 
 
 def _positive(text: str) -> int:
@@ -276,10 +272,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_oracle(args):
-    from .oracle import _COMFORTABLE_MAX_P, brute_force_const
+    from .oracle import _COMFORTABLE_MAX_P, brute_force_const, cost_text
 
-    _check_cap(args.p, args.slow, _COMFORTABLE_MAX_P, None,
-               f"oracle mode takes {_oracle_cost(args.p)} at p={args.p}")
+    _check_cap(args.p, args.slow, _COMFORTABLE_MAX_P, 10,
+               f"oracle mode takes {cost_text(args.p)} at p={args.p}")
     engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
@@ -291,13 +287,14 @@ def _verify_oracle(args):
 
 
 def _verify_theorem_random(args):
-    _check_cap(args.p, args.slow, 5, None,
-               f"theorem-random at p={args.p} takes {_oracle_cost(args.p)} "
-               f"per trial")
     import random
 
-    from .oracle import random_polynomial, random_weight_tuple, verify_theorem
+    from .oracle import (cost_text, random_polynomial, random_weight_tuple,
+                         verify_theorem)
 
+    _check_cap(args.p, args.slow, 5, 8,
+               f"theorem-random at p={args.p} takes {cost_text(args.p)} "
+               f"per trial")
     expected = const_of_p(args.p).const_p
     rng = random.Random(args.seed)
     failures = []
@@ -336,14 +333,15 @@ def _verify_generators(args):
              f"filtered={len(filtered)} backtracking={len(generated)}"]
     extra = sorted(filtered ^ generated)[:5]
     if extra:
-        lines.append(f"  first differing permutations: {extra}")
+        lines.append(f"  first differing permutations: "
+                     f"{', '.join(map(format_permutation, extra))}")
     record = {"filtered": len(filtered), "backtracking": len(generated),
               "difference": len(filtered ^ generated)}
     return passed, record, lines
 
 
 def _verify_oeis(args):
-    _check_cap(args.p, args.slow, 5, None,
+    _check_cap(args.p, args.slow, 5, 6,
                f"oeis mode streams the contributing set at p={args.p}")
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)
@@ -370,31 +368,26 @@ def _verify_parity(args):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    tasks = 1
+    started = time.perf_counter()
     if args.algo == "v1":
         _check_cap(args.p, False, _FILTER_COMFORTABLE_P, _FILTER_COMFORTABLE_P,
                    f"the exhaustive filter walks "
                    f"{_orderings(args.p)} permutations at p={args.p}")
-        started = time.perf_counter()
         emitted = sum(1 for _ in enumerate_filtered(args.p))
-        elapsed = time.perf_counter() - started
         examined = math.factorial(2 * args.p)
-        tasks = 1
     elif args.workers == 1:
         counter = [0]
-        started = time.perf_counter()
         emitted = sum(1 for _ in enumerate_backtracking_signed(args.p, counter))
-        elapsed = time.perf_counter() - started
         examined = counter[0]
-        tasks = 1
     else:
-        started = time.perf_counter()
         work = parallel.partition_work(
             args.p, parallel.default_depth(args.p, args.workers))
         pairs = list(parallel.run_tasks(work, args.workers))
-        elapsed = time.perf_counter() - started
         emitted = parallel.reduce(pr for pr, _ in pairs).terms_evaluated
         examined = sum(count for _, count in pairs)
         tasks = len(work)
+    elapsed = time.perf_counter() - started
     record = {
         "command": "bench", "algo": args.algo, "p": args.p,
         "workers": args.workers, "emitted": emitted, "examined": examined,

@@ -163,7 +163,7 @@ def subset_dp(p: int, progress: bool = False) -> parallel.PartialResult:
             print(f"layer {k}/{n - 1}, {len(layer)} states", file=sys.stderr)
     ((_, weight, signed, count),) = layer.values()
     even = (count + signed) // 2
-    return parallel.PartialResult(weight, even, count - even, count)
+    return parallel.PartialResult(weight, even, count - even)
 
 
 def const_of_p(p: int, workers: int = 1, depth: int | None = None,

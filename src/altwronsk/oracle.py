@@ -87,8 +87,8 @@ def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
     if p > _COMFORTABLE_MAX_P:
         warnings.warn(
-            f"the literal oracle takes 2^{n} derivatives and {n} * 2^{n - 1} "
-            f"products (p={p}); this will take a while",
+            f"the literal oracle takes {cost_text(p)} (p={p}); "
+            f"this will take a while",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -166,6 +166,12 @@ def verify_theorem(
     if lhs * ratio.denominator == rhs * ratio.numerator:
         return VerificationRecord(holds=True, extracted_const=ratio)
     return VerificationRecord(holds=False, extracted_const=None)
+
+
+def cost_text(p: int) -> str:
+    """The oracle's work at p, as text: its derivatives and products."""
+    n = 2 * p
+    return f"2^{n} derivatives and {n} * 2^{n - 1} products"
 
 
 def monomial_weights(n: int) -> list[Polynomial]:

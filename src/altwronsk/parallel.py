@@ -8,9 +8,11 @@ carrying the search's state there. ``run_task_counting`` resumes the search
 from that state with ``_walk``, the accumulating kernel, which adds up per
 completed permutation its sign and the product of falling factorials of the
 running exponents - the per-term value of the signed sum. ``run_tasks`` is
-the one place a process pool runs. Partial results form a commutative
-monoid under componentwise addition, so any schedule, worker count or split
-depth reduces to the identical exact total.
+the one place a process pool runs. A ``PartialResult`` holds the signed sum
+and the counts of even and odd permutations, whose total is the number of
+terms. Partial results form a commutative monoid under componentwise
+addition, so any schedule, worker count or split depth reduces to the
+identical exact total.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
@@ -44,36 +45,27 @@ class SubtreeTask(NamedTuple):
     product: int
 
 
-class PartialResult(namedtuple(
-        "PartialResult", "signed_sum even_count odd_count terms_evaluated")):
+class PartialResult(NamedTuple):
     """Exact accumulation over one subtree; addition is componentwise."""
 
-    __slots__ = ()
+    signed_sum: int
+    even_count: int
+    odd_count: int
 
-    def __new__(cls, signed_sum: int, even_count: int, odd_count: int,
-                terms_evaluated: int) -> PartialResult:
-        if terms_evaluated != even_count + odd_count:
-            raise ValueError("terms_evaluated must equal even_count + odd_count")
-        return super().__new__(cls, signed_sum, even_count, odd_count,
-                               terms_evaluated)
-
-    @classmethod
-    def _make(cls, iterable) -> PartialResult:
-        # namedtuple's own _make, which _replace calls, skips __new__.
-        return cls(*iterable)
+    @property
+    def terms_evaluated(self) -> int:
+        """The permutations summed: |Phi_p| for the whole contributing set."""
+        return self.even_count + self.odd_count
 
     def __add__(self, other: PartialResult) -> PartialResult:
         if not isinstance(other, PartialResult):
             return NotImplemented
-        return PartialResult(
-            self.signed_sum + other.signed_sum,
-            self.even_count + other.even_count,
-            self.odd_count + other.odd_count,
-            self.terms_evaluated + other.terms_evaluated,
-        )
+        return PartialResult(self.signed_sum + other.signed_sum,
+                             self.even_count + other.even_count,
+                             self.odd_count + other.odd_count)
 
 
-ZERO_RESULT = PartialResult(0, 0, 0, 0)
+ZERO_RESULT = PartialResult(0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -134,23 +126,24 @@ def _walk(pool: list[int], t: int, parity: int, product: int,
 
 
 def run_task_counting(task: SubtreeTask) -> tuple[PartialResult, int]:
-    """Like ``run_task`` but also reports candidate placements attempted.
+    """Finish the search below a task, accumulating signed per-term values.
 
-    The second element counts every extension tried, pruned or not - the
-    instrumentation behind benchmark "examined" figures. The walk resumes
-    from the task's carried state: a value v placed with idx smaller
-    candidates left has (v - 1 - idx) placed values below it.
+    Returns the task's ``PartialResult`` and the number of candidate
+    placements attempted, pruned or not - the instrumentation behind
+    benchmark "examined" figures. The walk resumes from the task's carried
+    state: a value v placed with idx smaller candidates left has
+    (v - 1 - idx) placed values below it.
     """
     placed = set(task.fixed_suffix)
     pool = [v for v in range(1, 2 * task.p) if v not in placed]
     out = [0, 0, 0, 0]
     _walk(pool, task.running_sum, task.parity, task.product,
           _falling_factorials(task.p), task.p, out)
-    return PartialResult(out[0], out[1], out[2], out[1] + out[2]), out[3]
+    return PartialResult(out[0], out[1], out[2]), out[3]
 
 
 def run_task(task: SubtreeTask) -> PartialResult:
-    """Finish the search below a task, accumulating signed per-term values.
+    """``run_task_counting``'s result without the placement count.
 
     Kept because ``perfbench/layers.py`` wraps ``parallel.run_task`` by name.
     """
@@ -184,10 +177,7 @@ def run_tasks(tasks: list[SubtreeTask],
 
 def reduce(parts: Iterable[PartialResult]) -> PartialResult:
     """Componentwise exact sum; empty input gives the zero result."""
-    total = ZERO_RESULT
-    for part in parts:
-        total = total + part
-    return total
+    return sum(parts, ZERO_RESULT)
 
 
 def default_depth(p: int, workers: int) -> int:

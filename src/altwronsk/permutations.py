@@ -85,9 +85,7 @@ def suffix_partial_sums(perm: Sequence[int], p: int) -> tuple[int, ...]:
     T_k adds up (value - p) over the last k entries; the term of a
     permutation survives iff sigma(1) = 1 and every T_k >= 0. T_k + p is
     the running exponent the k-th p-th derivative meets (see
-    ``engine.term_coefficient``). Returned in
-    full (no short-circuit) so it doubles as a debugging aid;
-    ``is_contributing`` is the short-circuiting check.
+    ``engine.term_coefficient``).
     """
     _require_length(perm, p)
     sums = []
@@ -101,14 +99,7 @@ def suffix_partial_sums(perm: Sequence[int], p: int) -> tuple[int, ...]:
 def is_contributing(perm: Sequence[int], p: int) -> bool:
     """True iff the permutation's operator term survives (is in Phi_p)."""
     _require_length(perm, p)
-    if perm[0] != 0:
-        return False
-    acc = 0
-    for v in perm[:0:-1]:
-        acc += v - p
-        if acc < 0:
-            return False
-    return True
+    return perm[0] == 0 and min(suffix_partial_sums(perm, p)) >= 0
 
 
 def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:

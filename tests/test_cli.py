@@ -221,6 +221,53 @@ def test_verify_theorem_random_slow_extends_cap(capsys):
     assert "expected=7886133184567796056800" in out
 
 
+# The largest p each capped verify mode runs with --slow, and the function
+# in cli where its work starts.
+SLOW_CAPS = [("oracle", 10, "const_of_p"), ("theorem-random", 8, "const_of_p"),
+             ("oeis", 6, "enumerate_backtracking")]
+
+
+def _work_starts(monkeypatch, name):
+    import altwronsk.cli as cli
+
+    def started(*args, **kwargs):
+        raise ValueError("work started")
+
+    monkeypatch.setattr(cli, name, started)
+
+
+@pytest.mark.parametrize("mode, cap, work", SLOW_CAPS)
+def test_slow_runs_up_to_its_cap(capsys, monkeypatch, mode, cap, work):
+    _work_starts(monkeypatch, work)
+    code, out, err = run_cli(capsys, "verify", "--p", str(cap), "--mode",
+                             mode, "--slow")
+    assert (code, out, err) == (3, "", "internal error: work started\n")
+
+
+@pytest.mark.parametrize("mode, cap, work", SLOW_CAPS)
+def test_slow_refuses_past_its_cap(capsys, monkeypatch, mode, cap, work):
+    # Refused before any work starts, and with no hint: --slow is given.
+    _work_starts(monkeypatch, work)
+    for p in (cap + 1, 1000):
+        err = _refusal(capsys, "verify", "--p", str(p), "--mode", mode,
+                       "--slow")
+        assert "--slow" not in err
+
+
+def test_verify_generators_failure_names_permutations_one_based(
+        capsys, monkeypatch):
+    import altwronsk.cli as cli
+
+    stream = cli.enumerate_backtracking
+    monkeypatch.setattr(cli, "enumerate_backtracking",
+                        lambda p: list(stream(p))[1:])
+    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--mode",
+                           "generators")
+    assert code == 1
+    assert out == ("FAIL generators p=2: filtered=3 backtracking=2\n"
+                   "  first differing permutations: (1,2,4,3)\n")
+
+
 @pytest.mark.parametrize(
     "raised, code, message",
     [(BrokenProcessPool("a worker died"), 3, "internal error: a worker died\n"),

@@ -109,6 +109,9 @@ def test_is_contributing_examples():
     assert is_contributing(P("(1,2,4,3)"), 2)
     assert not is_contributing(P("(3,1,4,2)"), 2)
     assert not is_contributing(P("(1,4,2,3)"), 2)
+    for wrong_length in ((), (1, 0, 2), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            is_contributing(wrong_length, 2)
 
 
 def test_contributing_equals_exponent_threshold():
