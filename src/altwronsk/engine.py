@@ -59,17 +59,36 @@ def wronskian_of_monomials(n: int) -> int:
 
 
 class ConstReport(NamedTuple):
-    """Everything computed for one p: counts, exact sums, and ratios."""
+    """Everything computed for one p: counts, exact sums, and ratios.
+
+    Stores the four computed facts; |Phi_p|, the Wronskian, the constant
+    and its two ratios follow from them.
+    """
 
     p: int
-    phi_size: int
+    signed_sum: int
     even_count: int
     odd_count: int
-    wronskian: int
-    signed_sum: int
-    const_p: int
-    ratio_p_factorial: Fraction
-    ratio_N_factorial: Fraction
+
+    @property
+    def phi_size(self) -> int:
+        return self.even_count + self.odd_count
+
+    @property
+    def wronskian(self) -> int:
+        return wronskian_of_monomials(2 * self.p)
+
+    @property
+    def const_p(self) -> int:
+        return self.signed_sum // self.wronskian
+
+    @property
+    def ratio_p_factorial(self) -> Fraction:
+        return Fraction(self.const_p, math.factorial(self.p))
+
+    @property
+    def ratio_N_factorial(self) -> Fraction:
+        return Fraction(self.const_p, math.factorial(2 * self.p))
 
     def to_record(self) -> dict[str, object]:
         """Flat record; big integers as decimal strings, ratios as "n/d".
@@ -90,17 +109,20 @@ class ConstReport(NamedTuple):
 
     @classmethod
     def from_record(cls, record: Mapping[str, object]) -> ConstReport:
-        return cls(
-            p=int(record["p"]),
-            phi_size=int(record["phi_size"]),
-            even_count=int(record["even_count"]),
-            odd_count=int(record["odd_count"]),
-            wronskian=int(record["wronskian"]),
-            signed_sum=int(record["signed_sum"]),
-            const_p=int(record["const_p"]),
-            ratio_p_factorial=Fraction(record["ratio_p_factorial"]),
-            ratio_N_factorial=Fraction(record["ratio_N_factorial"]),
-        )
+        """The report a ``to_record`` record holds, checked.
+
+        Raises ``ValueError`` unless every field reads as in the report's
+        own record, so a derived field that disagrees with the four facts
+        is refused, and the signed sum is a multiple of the Wronskian.
+        """
+        report = cls(*(int(record[key]) for key in cls._fields))
+        for key, value in report.to_record().items():
+            if str(record[key]) != str(value):
+                raise ValueError(f"{key} {record[key]} is not {value}, the "
+                                 f"value recomputed from the record")
+        if report.signed_sum % report.wronskian:
+            raise ValueError("signed_sum is not a multiple of the Wronskian")
+        return report
 
 
 def _format_fraction(value: Fraction) -> str:
@@ -182,23 +204,12 @@ def const_of_p(p: int, workers: int = 1, depth: int | None = None,
     else:
         part = subset_dp(p, progress=progress)
     wronskian = wronskian_of_monomials(2 * p)
-    const, remainder = divmod(part.signed_sum, wronskian)
-    if remainder:
+    if part.signed_sum % wronskian:
         raise ExactDivisionError(
             f"signed sum {part.signed_sum} is not a multiple of the "
             f"Wronskian {wronskian} (p={p}); this is a bug"
         )
-    return ConstReport(
-        p=p,
-        phi_size=part.terms_evaluated,
-        even_count=part.even_count,
-        odd_count=part.odd_count,
-        wronskian=wronskian,
-        signed_sum=part.signed_sum,
-        const_p=const,
-        ratio_p_factorial=Fraction(const, math.factorial(p)),
-        ratio_N_factorial=Fraction(const, math.factorial(2 * p)),
-    )
+    return ConstReport(p, *part)
 
 
 def ratios(report: ConstReport) -> tuple[Fraction, Fraction, tuple[str, str]]:

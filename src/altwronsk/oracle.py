@@ -4,17 +4,20 @@ Instead of the pruned-permutation engine, this module composes weighted
 derivative operators symbolically on exact polynomials, sums over the whole
 symmetric group with signs, and compares against the Wronskian determinant.
 
-The operators are linear, so the signed sum over all orderings factors by
-the outermost operator: the sum for a set of weight indices is an
-alternating sum, over its members j, of ``weights[j]`` times the p-th
-derivative of the sum for the set without j. Each subset's sum and its
-derivative are computed once, from the empty set (``f`` itself) up to the
-full set, by literal polynomial derivatives, products and additions. The
-only work skipped is below a subset whose derivative is zero, because every
-operator maps zero to zero. Nothing here knows about the contributing-set
-construction or the falling-factorial closed form, and the recursion runs
-over weight indices, not exponent values, which is what makes it a genuine
-cross-check of the fast engine.
+Both sides of that comparison are signed sums over the orderings of the
+weight indices, and both are built by one routine, ``_alternating_sum``,
+one subset of indices at a time. The operators are linear, so the sum for a
+set of weight indices is an alternating sum, over its members j, of
+``weights[j]`` times the p-th derivative of the sum for the set without j;
+each subset's sum and its derivative are computed once, from the empty set
+(``f`` itself) up to the full set, by literal polynomial derivatives,
+products and additions. The Wronskian is the same sum with the rows of
+derivatives in place of the weights and no derivative between them: a
+Laplace expansion from the bottom row. The only work skipped is a zero
+term, a subset whose value is zero or a zero entry. Nothing here knows
+about the contributing-set construction or the falling-factorial closed
+form, and the recursion runs over weight indices, not exponent values,
+which is what makes it a genuine cross-check of the fast engine.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import ExactDivisionError
 from .polynomial import ONE, ZERO, Polynomial, monomial
 
 # The signed sum over all (2p)! orderings costs 2^(2p) derivatives and
 # 2p * 2^(2p-1) products; warn once past this arity. With the monomial
-# weights, p = 8 takes about 1 s, p = 9 about 7 s and p = 10 about 33 s.
+# weights, p = 8 takes about 1 s, p = 9 about 6 s and p = 10 about 23 s.
 _COMFORTABLE_MAX_P = 8
 
 
@@ -47,28 +50,42 @@ def alternating_composition(
         S(T) = sum over j in T of (-1)^b(j) * weights[j] * S(T - {j})^(p),
 
     where b(j) counts the members of T below j: the inversions that j, in
-    front, makes with the rest. The subsets are built up one size at a
-    time; each subset's derivative is taken once and pushed to the subsets
-    one index larger, literally ``weights[j] * d``, added or subtracted
-    there. That is 2^(2p) derivatives and 2p * 2^(2p-1) products in place
-    of one composition per ordering. A subset whose derivative is the zero
-    polynomial pushes nothing (w * 0 = 0); nothing else is skipped.
+    front, makes with the rest. ``_alternating_sum`` builds S for every
+    subset, each subset's derivative taken once and pushed to the subsets
+    one index larger, literally ``weights[j] * d``: 2^(2p) derivatives and
+    2p * 2^(2p-1) products in place of one composition per ordering.
     """
     n = _check_arity(p, weights)
-    layer = {0: f}
-    for _ in range(n):
-        pushed: dict[int, Polynomial] = {}
-        for subset, total in layer.items():
-            d = total.derivative(p)
+    return _alternating_sum(f, [weights] * n, lambda s: s.derivative(p))
+
+
+def _alternating_sum(start: Polynomial, rows: Sequence[Sequence[Polynomial]],
+                     step: Callable[[Polynomial], Polynomial]) -> Polynomial:
+    """The sum over weight-index subsets shared by both sides of the theorem.
+
+    With V({}) = ``start``, every subset T pushes to each T + {j}, j not in
+    T, the term (-1)^b * rows[|T|][j] * step(V(T)), where b counts the
+    members of T below j; the result is V of the full index set. The
+    subsets are built one size at a time. A subset whose stepped value is
+    zero pushes nothing, and neither does a zero entry: a zero factor
+    makes a zero term.
+    """
+    layer = {0: start}
+    for row in rows:
+        pushed = {}
+        for subset, value in layer.items():
+            d = step(value)
             if not d:
                 continue
             odd = 0  # parity of the members of subset below j
-            for j, weight in enumerate(weights):
+            for j, entry in enumerate(row):
                 bit = 1 << j
                 if subset & bit:
                     odd ^= 1
                     continue
-                term = weight * d
+                if not entry:
+                    continue
+                term = entry * d
                 grown = subset | bit
                 sofar = pushed.get(grown)
                 if sofar is None:
@@ -76,7 +93,7 @@ def alternating_composition(
                 else:
                     pushed[grown] = sofar - term if odd else sofar + term
         layer = pushed
-    return layer.get((1 << n) - 1, ZERO)
+    return layer.get((1 << len(rows)) - 1, ZERO)
 
 
 def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:
@@ -98,36 +115,19 @@ def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:
 def symbolic_wronskian(weights: Sequence[Polynomial]) -> Polynomial:
     """Determinant of the matrix whose row i holds the i-th derivatives.
 
-    Cofactor expansion along the rows, memoised on column subsets: at
-    most 2^n minors, each summing its nonzero cofactors once. Exact over
-    the polynomial ring; the monomial weights at n = 16 take about 0.25 s.
+    Laplace expansion from the bottom row up, by ``_alternating_sum``: V(T)
+    is the minor on the bottom |T| rows and the columns T, and expanding
+    V(T + {j}) along its top row gives entry j the sign (-1)^b, b the
+    members of T below j, as in the composition. High derivatives of
+    polynomials vanish, so starting at the bottom few subsets survive.
+    Exact over the polynomial ring; the monomial weights at n = 16 take
+    under 1 ms.
     """
     if not weights:
         raise ValueError("need at least one weight")
     n = len(weights)
-    rows = [[w.derivative(i) for w in weights] for i in range(n)]
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def minor(cols: tuple[int, ...]) -> Polynomial:
-        if not cols:
-            return ONE
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = n - len(cols)
-        total = ZERO
-        for j, col in enumerate(cols):
-            entry = rows[row][col]
-            if not entry:
-                continue
-            rest = minor(cols[:j] + cols[j + 1:])
-            if rest:
-                cofactor = entry * rest
-                total = total - cofactor if j % 2 else total + cofactor
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
+    rows = [[w.derivative(i) for w in weights] for i in reversed(range(n))]
+    return _alternating_sum(ONE, rows, lambda v: v)
 
 
 class VerificationRecord(NamedTuple):

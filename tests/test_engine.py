@@ -237,6 +237,19 @@ def test_report_record_round_trip():
     ) == report
 
 
+@pytest.mark.parametrize("key", ["phi_size", "wronskian", "const_p",
+                                 "ratio_p_factorial", "ratio_N_factorial",
+                                 "signed_sum"])
+def test_record_with_an_altered_field_is_refused(key):
+    # Each derived field must equal its value recomputed from p, the signed
+    # sum and the counts; a signed sum off by one is no longer a multiple
+    # of the Wronskian.
+    record = const_of_p(3).to_record()
+    record[key] = str(Fraction(record[key]) + 1)  # phi_size 35 -> "36"
+    with pytest.raises(ValueError, match=key):
+        ConstReport.from_record(record)
+
+
 @pytest.mark.parametrize(
     "record",
     [const_of_p(2), parallel.partition_work(3, 2)[0], subset_dp(2),

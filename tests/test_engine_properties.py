@@ -12,13 +12,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from altwronsk.engine import ConstReport, render_ratio  # noqa: E402
-
-reports = st.builds(
+from altwronsk.engine import (  # noqa: E402
     ConstReport,
-    *[st.integers(min_value=-10**60, max_value=10**60)] * 7,
-    *[st.fractions(max_denominator=10**40)] * 2,
+    render_ratio,
+    wronskian_of_monomials,
 )
+
+
+@st.composite
+def reports(draw):
+    # Consistent reports only: from_record refuses a signed sum that is not
+    # a multiple of the Wronskian.
+    p = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=-10**60, max_value=10**60))
+    counts = st.integers(min_value=0, max_value=10**60)
+    return ConstReport(p, k * wronskian_of_monomials(2 * p),
+                       draw(counts), draw(counts))
 
 
 def non_integers(**bounds):
@@ -26,13 +35,13 @@ def non_integers(**bounds):
         lambda v: v.denominator != 1)
 
 
-@given(reports)
+@given(reports())
 def test_record_survives_json(report):
     record = json.loads(json.dumps(report.to_record()))
     assert ConstReport.from_record(record) == report
 
 
-@given(reports)
+@given(reports())
 def test_record_survives_csv(report):
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(report.to_record()))

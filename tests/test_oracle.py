@@ -71,7 +71,7 @@ def literal_alternating_composition(p, weights, f):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_tree_walk_matches_literal_reference(p):
+def test_subset_sum_matches_literal_reference(p):
     rng = random.Random(4100 + p)
     for _ in range(3):
         weights = [random_polynomial(rng, coeff_bound=50)
@@ -81,7 +81,7 @@ def test_tree_walk_matches_literal_reference(p):
             literal_alternating_composition(p, weights, f)
 
 
-def test_tree_walk_matches_literal_reference_on_monomials():
+def test_subset_sum_matches_literal_reference_on_monomials():
     weights, f = monomial_weights(8), monomial(4)
     got = alternating_composition(4, weights, f)
     assert got == literal_alternating_composition(4, weights, f)
@@ -185,6 +185,32 @@ def test_symbolic_wronskian_examples():
     assert symbolic_wronskian([monomial(1), monomial(1)]) == Polynomial()
     with pytest.raises(ValueError):
         symbolic_wronskian([])
+
+
+def leibniz_wronskian(weights):
+    """The definition, term by term: the sum over all permutations sigma
+    of sgn(sigma) * prod_i weights[sigma(i)]^(i), the sign from a count of
+    inversions."""
+    total = Polynomial()
+    for order in itertools.permutations(range(len(weights))):
+        inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+        term = ONE
+        for i, j in enumerate(order):
+            term = term * weights[j].derivative(i)
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symbolic_wronskian_matches_leibniz_reference(n):
+    # General polynomial entries; the first draw has a zero weight.
+    rng = random.Random(5200 + n)
+    for trial in range(4):
+        weights = [random_polynomial(rng, max_degree=n + 2, coeff_bound=50)
+                   for _ in range(n)]
+        if trial == 0:
+            weights[rng.randrange(n)] = Polynomial()
+        assert symbolic_wronskian(weights) == leibniz_wronskian(weights)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
