@@ -9,93 +9,58 @@ cross-checks it with a pruned backtracking walk that evaluates a
 falling-factorial product per contributing permutation, and verifies both
 against a literal symbolic-operator expansion.
 
-The verification side (``oracle`` and the exact ``polynomial`` arithmetic it
-runs on) is imported on first use of one of its names, so a process that
-only computes constants never loads it.
+A bare ``import altwronsk`` loads no submodule. Every public name, and each
+submodule named in ``_OWNER``, loads on first use (PEP 562), so a process
+that only computes constants never loads the oracle side.
 """
-
-from .engine import (
-    ConstReport,
-    ExactDivisionError,
-    const_of_p,
-    ratios,
-    render_ratio,
-    subset_dp,
-    term_coefficient,
-    wronskian_of_monomials,
-)
-from .parallel import PartialResult
-from .permutations import (
-    count_late_growing,
-    enumerate_backtracking,
-    enumerate_backtracking_signed,
-    enumerate_filtered,
-    format_permutation,
-    is_contributing,
-    is_late_growing,
-    is_permutation,
-    parse_permutation,
-    sign,
-    suffix_partial_sums,
-)
 
 __version__ = "0.1.0"
 
-# Name -> the module that defines it, for the names loaded on first use.
-_ON_FIRST_USE = {
-    "oracle": None,
-    "polynomial": None,
+# Public name -> the module that defines it, in ``__all__`` order. The
+# submodules map to None, so ``altwronsk.engine`` resolves after a bare import.
+_OWNER = {
+    "ConstReport": "engine",
+    "ExactDivisionError": "engine",
+    "PartialResult": "parallel",
+    "Polynomial": "polynomial",
     "VerificationRecord": "oracle",
     "alternating_composition": "oracle",
     "brute_force_const": "oracle",
-    "monomial_weights": "oracle",
-    "random_polynomial": "oracle",
-    "symbolic_wronskian": "oracle",
-    "verify_theorem": "oracle",
-    "Polynomial": "polynomial",
+    "const_of_p": "engine",
+    "count_late_growing": "permutations",
+    "enumerate_backtracking": "permutations",
+    "enumerate_backtracking_signed": "permutations",
+    "enumerate_filtered": "permutations",
+    "format_permutation": "permutations",
+    "is_contributing": "permutations",
+    "is_late_growing": "permutations",
+    "is_permutation": "permutations",
     "monomial": "polynomial",
+    "monomial_weights": "oracle",
+    "parse_permutation": "permutations",
+    "random_polynomial": "oracle",
+    "ratios": "engine",
+    "render_ratio": "engine",
+    "sign": "permutations",
+    "subset_dp": "engine",
+    "suffix_partial_sums": "permutations",
+    "symbolic_wronskian": "oracle",
+    "term_coefficient": "engine",
+    "verify_theorem": "oracle",
+    "wronskian_of_monomials": "engine",
+    "engine": None, "oracle": None, "parallel": None, "permutations": None,
+    "polynomial": None,
 }
 
-__all__ = [
-    "ConstReport",
-    "ExactDivisionError",
-    "PartialResult",
-    "Polynomial",
-    "VerificationRecord",
-    "alternating_composition",
-    "brute_force_const",
-    "const_of_p",
-    "count_late_growing",
-    "enumerate_backtracking",
-    "enumerate_backtracking_signed",
-    "enumerate_filtered",
-    "format_permutation",
-    "is_contributing",
-    "is_late_growing",
-    "is_permutation",
-    "monomial",
-    "monomial_weights",
-    "parse_permutation",
-    "random_polynomial",
-    "ratios",
-    "render_ratio",
-    "sign",
-    "subset_dp",
-    "suffix_partial_sums",
-    "symbolic_wronskian",
-    "term_coefficient",
-    "verify_theorem",
-    "wronskian_of_monomials",
-]
+__all__ = [name for name, owner in _OWNER.items() if owner]
 
 
 def __getattr__(name: str):
     # Called only for names not found in the module (PEP 562).
-    if name not in _ON_FIRST_USE:
+    if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    from importlib import import_module
 
-    owner = _ON_FIRST_USE[name]
-    if owner is None:
-        return importlib.import_module(f"{__name__}.{name}")
-    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    owner = _OWNER[name]
+    module = import_module(f"{__name__}.{owner or name}")
+    return getattr(module, name) if owner else module

@@ -5,11 +5,10 @@ Results go to stdout; progress and diagnostics to stderr. Exit codes:
 3 internal error (a failed consistency check, a crashed worker process or
 any other unexpected ValueError or RuntimeError), 130 interrupted.
 
-A command whose work grows too fast with p (``verify`` modes ``oracle``,
-``theorem-random``, ``generators`` and ``oeis``, and ``bench --algo v1``)
-checks p against its two caps, without and with ``--slow``, before doing
-any work (``_check_cap``); past them it ends with one ``refusing: ...``
-line and exit 2.
+A command whose work grows too fast with p (``const``, ``table``, every
+``verify`` mode and ``bench --algo v1``) checks p against its two caps,
+without and with ``--slow``, before doing any work (``_check_cap``); past
+them it ends with one ``refusing: ...`` line and exit 2.
 
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
@@ -47,6 +46,12 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # (2p)! permutations, 3.6 M (about 1.5 s) at p = 5.
 _FILTER_COMFORTABLE_P = 4
 
+# The largest p run so far, which no --slow lifts: the subset DP at 13
+# (185.8 s and 1,703 MB; its memory grows about 4x per step) and the walk
+# at 7 (495 s on 2 processes).
+_DP_MAX_P = 13
+_WALK_MAX_P = 7
+
 
 class Refused(Exception):
     """A command declines a p it could not finish in reasonable time."""
@@ -66,6 +71,12 @@ def _check_cap(p: int, slow: bool, cap: int, slow_cap: int,
     if slow and lifted:
         return
     raise Refused(f"{reason} (pass --slow to override)" if lifted else reason)
+
+
+def _check_dp_cap(p: int) -> None:
+    _check_cap(p, False, _DP_MAX_P, _DP_MAX_P,
+               f"the subset DP has run only up to p={_DP_MAX_P} (about 3 min "
+               f"and 1.7 GB, 4x the memory per step); p={p} is past it")
 
 
 def _orderings(p: int) -> str:
@@ -97,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument(
         "--workers", type=_positive, default=1,
         help="1 (default): the subset DP in one process; more: the pruned "
-             "walk over the contributing set, split over that many processes")
+             "walk over the contributing set, split over up to that many "
+             "processes (never more than the CPUs or the tasks)")
     p_const.add_argument("--format", choices=FORMATS, default="human")
     p_const.add_argument("--no-progress", action="store_true",
                          help="suppress progress lines on stderr")
@@ -223,6 +235,12 @@ def _aligned(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def cmd_const(args: argparse.Namespace) -> int:
+    if args.workers > 1:
+        _check_cap(args.p, False, _WALK_MAX_P, _WALK_MAX_P,
+                   f"the walk has run only up to p={_WALK_MAX_P} (495 s on 2 "
+                   f"processes); p={args.p} is past it")
+    else:
+        _check_dp_cap(args.p)
     report = const_of_p(args.p, workers=args.workers,
                         progress=not args.no_progress)
     cells = _cells(report)
@@ -242,6 +260,7 @@ TABLE_COLUMNS = {
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _check_dp_cap(args.max_p)
     reports = [
         const_of_p(p, progress=not args.no_progress)
         for p in range(1, args.max_p + 1)
@@ -353,6 +372,7 @@ def _verify_oeis(args):
 
 
 def _verify_parity(args):
+    _check_dp_cap(args.p)
     report = const_of_p(args.p)
     gap = report.even_count - report.odd_count
     expected_gap = 1 if args.p % 2 else -1  # even perms lead at odd p

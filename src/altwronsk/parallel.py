@@ -18,6 +18,7 @@ identical exact total.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from functools import lru_cache
@@ -154,10 +155,12 @@ def run_tasks(tasks: list[SubtreeTask],
               workers: int) -> Iterator[tuple[PartialResult, int]]:
     """``run_task_counting`` over every task, yielding each result as it ends.
 
-    Runs in this process when ``workers`` is 1 or there is a single task,
-    else on a pool of ``workers`` processes, in completion order.
+    Starts at most ``workers`` processes, and never more than there are
+    tasks or CPUs (``os.cpu_count()``); runs in this process when that
+    leaves one, else on the pool, in completion order.
     """
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         for task in tasks:
             yield run_task_counting(task)
         return

@@ -51,9 +51,6 @@ class Polynomial:
         """Coefficient of the largest exponent; 0 for the zero polynomial."""
         return self._coeffs[max(self._coeffs)] if self._coeffs else 0
 
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
-
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
         return sorted(self._coeffs.items(), reverse=True)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -254,6 +255,37 @@ def test_slow_refuses_past_its_cap(capsys, monkeypatch, mode, cap, work):
         assert "--slow" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("const", "--p", "14"),
+     ("const", "--p", "100"),
+     ("const", "--p", "8", "--workers", "2"),
+     ("table", "--max-p", "14"),
+     ("verify", "--p", "14", "--mode", "parity"),
+     ("verify", "--p", "14", "--mode", "parity", "--slow")],
+    ids=" ".join,
+)
+def test_dp_and_walk_refuse_past_their_largest_run(capsys, monkeypatch,
+                                                   argv):
+    # Refused before the DP or the walk starts (a table before its first
+    # row), and with no hint: no --slow lifts these caps.
+    _work_starts(monkeypatch, "const_of_p")
+    assert "--slow" not in _refusal(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("const", "--p", "13"),
+     ("const", "--p", "7", "--workers", "2"),
+     ("table", "--max-p", "13"),
+     ("verify", "--p", "13", "--mode", "parity")],
+    ids=" ".join,
+)
+def test_dp_and_walk_run_up_to_their_largest_run(capsys, monkeypatch, argv):
+    _work_starts(monkeypatch, "const_of_p")
+    assert run_cli(capsys, *argv) == (3, "", "internal error: work started\n")
+
+
 def test_verify_generators_failure_names_permutations_one_based(
         capsys, monkeypatch):
     import altwronsk.cli as cli
@@ -282,6 +314,26 @@ def test_pool_failures_end_cleanly(capsys, monkeypatch, raised, code,
     got, out, err = run_cli(capsys, "const", "--p", "4", "--workers", "2",
                             "--no-progress")
     assert (got, out, err) == (code, "", message)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched walk only when "
+                           "forked")
+def test_a_pool_worker_that_dies_ends_cleanly(capsys, monkeypatch):
+    # A real 2-process pool whose workers exit as soon as they walk. The
+    # forked workers inherit the patched kernel; this process never runs it.
+    test_process = os.getpid()
+
+    def dying_walk(*args):
+        assert os.getpid() != test_process, "the walk ran in the test process"
+        os._exit(1)
+
+    monkeypatch.setattr(parallel, "_walk", dying_walk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "const", "--p", "4", "--workers", "2",
+                             "--no-progress")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 def _fresh_interpreter(statements: str) -> str:
@@ -324,18 +376,23 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_every_public_name_resolves():
-    # The oracle side is resolved on first use; star-import and attribute
-    # access must both find every name of __all__.
+    # A bare import loads no submodule. Every name is resolved on first
+    # use: each submodule by attribute access, and every name of __all__ by
+    # star-import.
+    submodules = ["engine", "parallel", "permutations", "oracle", "polynomial"]
     assert _fresh_interpreter(
         "import altwronsk; "
-        "print('altwronsk.oracle' in sys.modules); "
+        "print([m for m in sys.modules if m.startswith('altwronsk.')]); "
+        f"print([getattr(altwronsk, m) is sys.modules['altwronsk.' + m] "
+        f"for m in {submodules!r}]); "
         "from altwronsk import *; "
         "print([n for n in altwronsk.__all__ if n not in globals()])"
-    ).splitlines() == ["False", "[]"]
+    ).splitlines() == ["[]", str([True] * len(submodules)), "[]"]
     from altwronsk import oracle, polynomial
 
     assert altwronsk.brute_force_const is oracle.brute_force_const
     assert altwronsk.Polynomial is polynomial.Polynomial
+    assert altwronsk.const_of_p is const_of_p
     with pytest.raises(AttributeError):
         altwronsk.no_such_name
 

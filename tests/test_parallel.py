@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import os
 import pickle
 import random
 
@@ -182,6 +184,46 @@ def test_compute_progress_goes_to_stderr_only(capsys, monkeypatch):
     lines = captured.err.splitlines()
     assert len(lines) == tasks
     assert lines[-1] == f"{tasks}/{tasks} tasks, 1001 terms"
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool_size",
+    [(1000, 64, 64), (1000, 1000, 247), (3, 64, 3), (1000, 1, None),
+     (1000, None, None), (1, 64, None)],
+)
+def test_pool_never_exceeds_the_cpus_or_the_tasks(monkeypatch, workers, cpus,
+                                                  pool_size):
+    # A stand-in pool records its size and runs each task as it is
+    # submitted, in this process: no process starts. None: no pool at all.
+    # At p = 4, 1000 workers split the walk into 247 tasks.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    expected = compute(4)
+    tasks = partition_work(4, default_depth(4, workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    parts = [part for part, _ in parallel.run_tasks(tasks, workers)]
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert reduce(parts) == expected
 
 
 def test_compute_validates_arguments():
