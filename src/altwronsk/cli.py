@@ -3,12 +3,12 @@
 Results go to stdout; progress and diagnostics to stderr. Exit codes:
 0 success/pass, 1 verification failure, 2 usage error or refusal,
 3 internal error (a failed consistency check, a crashed worker process or
-any other unexpected ValueError or RuntimeError), 130 interrupted.
+any other exception that no argument caused), 130 interrupted.
 
-A command whose work grows too fast with p (``const``, ``table``, every
-``verify`` mode and ``bench --algo v1``) checks p against its two caps,
-without and with ``--slow``, before doing any work (``_check_cap``); past
-them it ends with one ``refusing: ...`` line and exit 2.
+Every command's work grows too fast with p. One table, ``_CAPS``, holds the
+two caps of each kind of work, without and with ``--slow``, and ``main``
+checks p against the row of the work a command runs before any handler
+starts; past them it ends with one ``refusing: ...`` line and exit 2.
 
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
@@ -26,7 +26,6 @@ import time
 from . import parallel
 from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
 from .permutations import (
-    FILTER_MAX_N,
     count_late_growing,
     enumerate_backtracking,
     enumerate_backtracking_signed,
@@ -42,41 +41,17 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
-# The largest p the exhaustive filter runs without --slow: it walks all
-# (2p)! permutations, 3.6 M (about 1.5 s) at p = 5.
-_FILTER_COMFORTABLE_P = 4
 
-# The largest p run so far, which no --slow lifts: the subset DP at 13
-# (185.8 s and 1,703 MB; its memory grows about 4x per step) and the walk
-# at 7 (495 s on 2 processes).
-_DP_MAX_P = 13
-_WALK_MAX_P = 7
+def _ran_up_to(work: str, cap: int, cost: str):
+    """A ``_CAPS`` row for work that no ``--slow`` lifts past its cap."""
+    return cap, cap, lambda p: (f"{work} has run only up to p={cap} ({cost}); "
+                                f"p={p} is past it")
 
 
-class Refused(Exception):
-    """A command declines a p it could not finish in reasonable time."""
+def _cost(p: int) -> str:
+    from .oracle import cost_text  # loaded only to word a refusal
 
-
-def _check_cap(p: int, slow: bool, cap: int, slow_cap: int,
-               reason: str) -> None:
-    """Raise ``Refused`` unless p is within the cap that applies.
-
-    ``cap`` is the largest p a command runs without ``--slow`` and
-    ``slow_cap`` the largest with it. The refusal suggests ``--slow`` only
-    when that would let this p run.
-    """
-    if p <= cap:
-        return
-    lifted = p <= slow_cap
-    if slow and lifted:
-        return
-    raise Refused(f"{reason} (pass --slow to override)" if lifted else reason)
-
-
-def _check_dp_cap(p: int) -> None:
-    _check_cap(p, False, _DP_MAX_P, _DP_MAX_P,
-               f"the subset DP has run only up to p={_DP_MAX_P} (about 3 min "
-               f"and 1.7 GB, 4x the memory per step); p={p} is past it")
+    return cost_text(p)
 
 
 def _orderings(p: int) -> str:
@@ -86,6 +61,54 @@ def _orderings(p: int) -> str:
     if limit and math.lgamma(2 * p + 1) >= limit * math.log(10):
         return "(2p)!"
     return str(math.factorial(2 * p))
+
+
+# Each kind of work: the largest p it runs without --slow, the largest with
+# it, and the reason a refusal gives at p. A cap with --slow is the largest
+# p that work has run: the subset DP at 13 (185.8 s and 1,703 MB; its
+# memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
+# bench's one-process stream at 6 (about 11 s), the oracle at 10 (about
+# 23 s), one theorem-random trial at 8 (about 35 s), the filter at 5 (all
+# 3.6 M orderings, about 1.3 s) and the oeis stream at 6. Without --slow,
+# the modes of verify stop at a few seconds.
+_CAPS = {
+    "dp": _ran_up_to("the subset DP", 13,
+                     "about 3 min and 1.7 GB, 4x the memory per step"),
+    "walk": _ran_up_to("the walk", 7, "495 s on 2 processes"),
+    "stream": _ran_up_to("the v2 stream", 6, "about 11 s in one process"),
+    "oracle": (8, 10, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
+    "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
+                                       f"{_cost(p)} per trial"),
+    "generators": (4, 5, lambda p: f"generator comparison filters all "
+                                   f"{_orderings(p)} permutations at p={p}"),
+    "oeis": (5, 6, lambda p: f"oeis mode streams the contributing set at "
+                             f"p={p}"),
+    "v1": (4, 4, lambda p: f"the exhaustive filter walks {_orderings(p)} "
+                           f"permutations at p={p}"),
+}
+
+
+def _refusal(args: argparse.Namespace) -> str | None:
+    """Why the command declines its p, or None when p is within its cap.
+
+    The row is that of the work the command runs: ``table`` the DP, checked
+    on ``--max-p``; ``verify`` its mode, with ``parity`` the DP; ``bench``
+    v1, the stream with one worker or the walk with more; ``const`` the walk
+    above one worker, else the DP. The reason suggests ``--slow`` only when
+    that would let this p run.
+    """
+    p = args.max_p if args.command == "table" else args.p
+    kind = "walk" if getattr(args, "workers", 1) > 1 else "dp"
+    if args.command == "verify" and args.mode != "parity":
+        kind = args.mode
+    elif args.command == "bench" and args.algo == "v1":
+        kind = "v1"
+    elif args.command == "bench" and kind == "dp":
+        kind = "stream"
+    cap, slow_cap, reason = _CAPS[kind]
+    if p <= cap or (p <= slow_cap and getattr(args, "slow", False)):
+        return None
+    return reason(p) + (" (pass --slow to override)" if p <= slow_cap else "")
 
 
 def _positive(text: str) -> int:
@@ -138,7 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time one generator")
     p_bench.add_argument("--p", type=_positive, required=True)
     p_bench.add_argument("--algo", choices=("v1", "v2"), default="v2")
-    p_bench.add_argument("--workers", type=_positive, default=1)
+    p_bench.add_argument(
+        "--workers", type=_positive, default=1,
+        help="1 (default): the contributing-set stream in one process; more: "
+             "the walk, split over up to that many processes")
     p_bench.add_argument("--format", choices=FORMATS, default="human")
     p_bench.set_defaults(handler=cmd_bench)
 
@@ -151,16 +177,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if refusal := _refusal(args):
+        print(f"refusing: {refusal}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.handler(args)
-    except Refused as exc:
-        print(f"refusing: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, RuntimeError) as exc:  # BrokenProcessPool is one
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a dead pool, a failed fork, MemoryError, a bug
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_INTERNAL
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
@@ -235,12 +262,6 @@ def _aligned(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def cmd_const(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        _check_cap(args.p, False, _WALK_MAX_P, _WALK_MAX_P,
-                   f"the walk has run only up to p={_WALK_MAX_P} (495 s on 2 "
-                   f"processes); p={args.p} is past it")
-    else:
-        _check_dp_cap(args.p)
     report = const_of_p(args.p, workers=args.workers,
                         progress=not args.no_progress)
     cells = _cells(report)
@@ -260,7 +281,6 @@ TABLE_COLUMNS = {
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    _check_dp_cap(args.max_p)
     reports = [
         const_of_p(p, progress=not args.no_progress)
         for p in range(1, args.max_p + 1)
@@ -291,10 +311,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_oracle(args):
-    from .oracle import _COMFORTABLE_MAX_P, brute_force_const, cost_text
+    from .oracle import brute_force_const
 
-    _check_cap(args.p, args.slow, _COMFORTABLE_MAX_P, 10,
-               f"oracle mode takes {cost_text(args.p)} at p={args.p}")
     engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
@@ -308,12 +326,8 @@ def _verify_oracle(args):
 def _verify_theorem_random(args):
     import random
 
-    from .oracle import (cost_text, random_polynomial, random_weight_tuple,
-                         verify_theorem)
+    from .oracle import random_polynomial, random_weight_tuple, verify_theorem
 
-    _check_cap(args.p, args.slow, 5, 8,
-               f"theorem-random at p={args.p} takes {cost_text(args.p)} "
-               f"per trial")
     expected = const_of_p(args.p).const_p
     rng = random.Random(args.seed)
     failures = []
@@ -342,9 +356,6 @@ def _verify_theorem_random(args):
 
 
 def _verify_generators(args):
-    _check_cap(args.p, args.slow, _FILTER_COMFORTABLE_P, FILTER_MAX_N // 2,
-               f"generator comparison filters all "
-               f"{_orderings(args.p)} permutations at p={args.p}")
     filtered = set(enumerate_filtered(args.p))
     generated = set(enumerate_backtracking(args.p))
     passed = filtered == generated
@@ -360,8 +371,6 @@ def _verify_generators(args):
 
 
 def _verify_oeis(args):
-    _check_cap(args.p, args.slow, 5, 6,
-               f"oeis mode streams the contributing set at p={args.p}")
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)
     passed = phi_size == late
@@ -372,7 +381,6 @@ def _verify_oeis(args):
 
 
 def _verify_parity(args):
-    _check_dp_cap(args.p)
     report = const_of_p(args.p)
     gap = report.even_count - report.odd_count
     expected_gap = 1 if args.p % 2 else -1  # even perms lead at odd p
@@ -391,9 +399,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tasks = 1
     started = time.perf_counter()
     if args.algo == "v1":
-        _check_cap(args.p, False, _FILTER_COMFORTABLE_P, _FILTER_COMFORTABLE_P,
-                   f"the exhaustive filter walks "
-                   f"{_orderings(args.p)} permutations at p={args.p}")
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
     elif args.workers == 1:

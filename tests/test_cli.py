@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -206,7 +207,9 @@ def test_verify_oeis_p5_runs_without_slow(capsys):
      ("verify", "--p", "1000", "--mode", "generators"),
      ("verify", "--p", "1000", "--mode", "generators", "--slow"),
      ("verify", "--p", "1000", "--mode", "oeis"),
-     ("bench", "--p", "1000", "--algo", "v1")],
+     ("bench", "--p", "1000", "--algo", "v1"),
+     ("bench", "--p", "1000", "--algo", "v2"),
+     ("bench", "--p", "1000", "--algo", "v2", "--workers", "2")],
     ids=" ".join,
 )
 def test_refusal_at_large_p_is_a_refusal(capsys, argv):
@@ -225,16 +228,16 @@ def test_verify_theorem_random_slow_extends_cap(capsys):
 # The largest p each capped verify mode runs with --slow, and the function
 # in cli where its work starts.
 SLOW_CAPS = [("oracle", 10, "const_of_p"), ("theorem-random", 8, "const_of_p"),
+             ("generators", 5, "enumerate_filtered"),
              ("oeis", 6, "enumerate_backtracking")]
 
 
 def _work_starts(monkeypatch, name):
-    import altwronsk.cli as cli
-
     def started(*args, **kwargs):
         raise ValueError("work started")
 
-    monkeypatch.setattr(cli, name, started)
+    # A dotted name reaches through cli, e.g. "parallel.partition_work".
+    monkeypatch.setattr(f"altwronsk.cli.{name}", started)
 
 
 @pytest.mark.parametrize("mode, cap, work", SLOW_CAPS)
@@ -284,6 +287,35 @@ def test_dp_and_walk_refuse_past_their_largest_run(capsys, monkeypatch,
 def test_dp_and_walk_run_up_to_their_largest_run(capsys, monkeypatch, argv):
     _work_starts(monkeypatch, "const_of_p")
     assert run_cli(capsys, *argv) == (3, "", "internal error: work started\n")
+
+
+# The largest p bench --algo v2 runs, by its workers, and where its work
+# starts: one worker streams the contributing set, more run the walk.
+BENCH_V2_CAPS = [("1", 6, "enumerate_backtracking_signed"),
+                 ("2", 7, "parallel.partition_work")]
+
+
+@pytest.mark.parametrize("workers, cap, work", BENCH_V2_CAPS)
+def test_bench_v2_runs_up_to_its_cap(capsys, monkeypatch, workers, cap, work):
+    _work_starts(monkeypatch, work)
+    assert run_cli(capsys, "bench", "--p", str(cap), "--algo", "v2",
+                   "--workers", workers) == (3, "", "internal error: work "
+                                                    "started\n")
+
+
+@pytest.mark.parametrize("workers, cap, work", BENCH_V2_CAPS)
+def test_bench_v2_refuses_past_its_cap(capsys, monkeypatch, workers, cap,
+                                       work):
+    # Refused before any work starts, and with no hint: bench has no --slow.
+    _work_starts(monkeypatch, work)
+    assert "--slow" not in _refusal(capsys, "bench", "--p", str(cap + 1),
+                                    "--algo", "v2", "--workers", workers)
+
+
+def test_oracle_mode_runs_without_slow_where_the_oracle_never_warns():
+    from altwronsk import cli, oracle
+
+    assert cli._CAPS["oracle"][0] == oracle._COMFORTABLE_MAX_P
 
 
 def test_verify_generators_failure_names_permutations_one_based(
@@ -484,3 +516,37 @@ def test_internal_value_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "const", "--p", "2")
     assert (code, out, err) == (3, "", "internal error: induced internal "
                                 "ValueError\n")
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [(BlockingIOError(11, "Resource temporarily unavailable"),
+      "[Errno 11] Resource temporarily unavailable"),
+     (MemoryError(), "MemoryError"),
+     (TypeError("induced internal TypeError"), "induced internal TypeError")],
+    ids=["BlockingIOError", "MemoryError", "TypeError"],
+)
+def test_any_other_internal_error_exit_code(capsys, monkeypatch, raised,
+                                            message):
+    # Whatever else escapes a handler ends as one line and exit 3, not as a
+    # traceback with exit 1, the verification-failure code. A stand-in pool
+    # raises at its first submit, as a fork does when no process can start
+    # (BlockingIOError); no process starts. An empty message names the type.
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            raise raised
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "const", "--p", "4", "--workers", "2",
+                             "--no-progress")
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")

@@ -10,3 +10,34 @@ def test_readme_library_block_runs_as_written():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
     assert attempted > 0
     assert failed == 0
+
+
+# Each row of README's caps table, by its command cell, and the kind of work
+# in cli._CAPS whose caps it states.
+CAP_ROWS = {
+    "`const` (subset DP), `table --max-p`, `verify --mode parity`": "dp",
+    "`const --workers` and `bench --algo v2 --workers` above 1 (the walk)":
+        "walk",
+    "`bench --algo v2 --workers 1` (the stream)": "stream",
+    "`verify --mode oracle`": "oracle",
+    "`verify --mode theorem-random`": "theorem-random",
+    "`verify --mode generators`": "generators",
+    "`verify --mode oeis`": "oeis",
+    "`bench --algo v1`": "v1",
+}
+
+
+def test_readme_caps_table_states_the_cli_caps():
+    from altwronsk.cli import _CAPS
+
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | without `--slow` | with `--slow` |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, cap, slow_cap = map(str.strip, line.split("|")[1:-1])
+        rows[command] = (int(cap),
+                         int(cap if slow_cap == "(no `--slow`)" else slow_cap))
+    assert sorted(CAP_ROWS.values()) == sorted(_CAPS)
+    assert rows == {row: _CAPS[kind][:2] for row, kind in CAP_ROWS.items()}
