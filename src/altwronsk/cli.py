@@ -67,15 +67,15 @@ def _orderings(p: int) -> str:
 # it, and the reason a refusal gives at p. A cap with --slow is the largest
 # p that work has run: the subset DP at 13 (185.8 s and 1,703 MB; its
 # memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
-# bench's one-process stream at 6 (about 11 s), the oracle at 10 (about
+# bench's one-process stream at 6 (about 1.3 s), the oracle at 10 (about
 # 23 s), one theorem-random trial at 8 (about 35 s), the filter at 5 (all
-# 3.6 M orderings, about 1.3 s) and the oeis stream at 6. Without --slow,
-# the modes of verify stop at a few seconds.
+# 3.6 M orderings, about 1.3 s) and the oeis stream at 6 (about 1.4 s).
+# Without --slow, the modes of verify stop at a few seconds.
 _CAPS = {
     "dp": _ran_up_to("the subset DP", 13,
                      "about 3 min and 1.7 GB, 4x the memory per step"),
     "walk": _ran_up_to("the walk", 7, "495 s on 2 processes"),
-    "stream": _ran_up_to("the v2 stream", 6, "about 11 s in one process"),
+    "stream": _ran_up_to("the v2 stream", 6, "about 1.3 s in one process"),
     "oracle": (8, 10, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
     "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
                                        f"{_cost(p)} per trial"),
@@ -181,7 +181,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"refusing: {refusal}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        # With file descriptor 1 closed at start, sys.stdout is None and
+        # print would drop every line without a word.
+        if sys.stdout is None:
+            raise RuntimeError("stdout is closed")
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ExactDivisionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,10 +14,11 @@ running exponent of x never dips below zero during the right-to-left operator
 applications). ``enumerate_filtered`` realises the definition by filtering
 all of S_N, for N up to ``FILTER_MAX_N``. ``pruned_suffixes`` is the one
 pruned search of the package: it fills positions right to left and abandons
-any branch whose running sum would go negative. At full length it is the
-contributing-set stream (``enumerate_backtracking_signed``); cut at a
-smaller length it yields the subtrees that ``parallel.partition_work``
-hands out as tasks.
+any branch whose running sum would go negative. Cut at length p it yields
+the heads of the contributing-set stream (``enumerate_backtracking_signed``),
+which finishes each head from a table keyed by the p - 1 values left
+(``_tails``); cut at a smaller length it yields the subtrees that
+``parallel.partition_work`` hands out as tasks.
 """
 
 from __future__ import annotations
@@ -183,19 +184,72 @@ def pruned_suffixes(
         idx += 1
 
 
+def _tails(p: int, rest: frozenset, table: dict):
+    """The completions below a suffix that leaves the values ``rest`` unplaced.
+
+    Returns ``(items, placements)``, stored in ``table`` under ``rest``.
+    Each item is ``(prefix, sign)``: ``prefix`` is 0 and then an ordering
+    of ``rest``, left to right, and ``sign`` is (-1) to the inversions its
+    values add to the placed suffix. ``placements`` is what
+    ``pruned_suffixes`` would count below the suffix: ``len(rest)`` per
+    node with values left. The values 1..2p-1 sum to p(2p-1), so ``rest``
+    fixes the running sum, t = sum of (p - v) over rest. Items follow the
+    search's order: each v of ``rest`` with t + v - p >= 0, ascending, then
+    the completions of ``rest - {v}``.
+    """
+    found = table.get(rest)
+    if found is not None:
+        return found
+    if not rest:
+        found = [((0,), 1)], 0
+    else:
+        t = sum(p - v for v in rest)
+        items: list[tuple[tuple[int, ...], int]] = []
+        placements = len(rest)
+        for rank, v in enumerate(sorted(rest)):
+            if t + v < p:
+                continue
+            below, count = _tails(p, rest - {v}, table)
+            placements += count
+            # v is placed left of every other placed value; v - 1 - rank
+            # of them are smaller.
+            flip = -1 if (v - 1 - rank) & 1 else 1
+            items.extend((prefix + (v,), s * flip) for prefix, s in below)
+        found = items, placements
+    table[rest] = found
+    return found
+
+
 def enumerate_backtracking_signed(
     p: int, counter: list[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(permutation, sign) pairs for the contributing set, built by pruning.
 
-    The ``pruned_suffixes`` of full length 2p - 1, each completed by the
-    pinned 0 in position 1 (which adds no inversion). ``counter`` is passed
-    through: it counts every candidate placement attempted.
+    The same pairs, in the same order, as completing every full-length
+    ``pruned_suffixes`` by the pinned 0 in position 1 (which adds no
+    inversion), with less work per permutation. The search runs to length
+    p only; what completes a head of p values depends only on the p - 1
+    values left, so each such set is completed once, by ``_tails``, in a
+    table that belongs to this call, and every head that leaves it reuses
+    the completions with its own parity.
+
+    ``counter``, when given, ends with the count of candidate placements
+    the full pruned search attempts, as ``pruned_suffixes`` counts them:
+    the search to length p counts its own, and the table adds each tail's
+    count without attempting its placements again.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    for suffix, _, parity in pruned_suffixes(p, 2 * p - 1, counter):
-        yield (0, *reversed(suffix)), (-1 if parity else 1)
+    values = frozenset(range(1, 2 * p))
+    table: dict = {}
+    for suffix, _, parity in pruned_suffixes(p, p, counter):
+        items, placements = _tails(p, values.difference(suffix), table)
+        if counter is not None:
+            counter[0] += placements
+        head = tuple(reversed(suffix))
+        flip = -1 if parity else 1
+        for prefix, s in items:
+            yield prefix + head, s * flip
 
 
 def enumerate_backtracking(p: int) -> Iterator[tuple[int, ...]]:

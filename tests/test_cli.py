@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 
@@ -405,6 +406,20 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
     assert ConstReport.from_record(json.loads(done.stdout)) == const_of_p(2)
+
+
+def test_closed_stdout_is_an_internal_error():
+    # With file descriptor 1 closed at start the interpreter has no
+    # sys.stdout; the report would be lost, so the run must not pass.
+    src_dir = os.path.dirname(os.path.dirname(altwronsk.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    command = (f"{shlex.quote(sys.executable)} -m altwronsk.cli const --p 2 "
+               f"--no-progress >&-")
+    done = subprocess.run(["sh", "-c", command], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 3
+    assert done.stderr.startswith("internal error: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_every_public_name_resolves():

@@ -13,6 +13,7 @@ from altwronsk.permutations import (
     is_late_growing,
     is_permutation,
     parse_permutation,
+    pruned_suffixes,
     sign,
     suffix_partial_sums,
 )
@@ -199,6 +200,44 @@ def test_streams_are_independent():
     second = enumerate_backtracking(3)
     next(first)  # advancing one stream must not disturb the other
     assert list(second) == list(enumerate_backtracking(3))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_signed_stream_is_the_full_pruned_search(p):
+    # Item for item, in order and with the same placement count, the stream
+    # is the pruned search run to full length and completed by the pinned 0.
+    streamed, searched = [0], [0]
+    expected = [((0, *reversed(suffix)), -1 if parity else 1)
+                for suffix, _, parity in pruned_suffixes(p, 2 * p - 1,
+                                                         searched)]
+    assert list(enumerate_backtracking_signed(p, streamed)) == expected
+    assert streamed == searched
+
+
+@pytest.mark.parametrize("p, placements", [(4, 3_395), (5, 176_992)])
+def test_signed_stream_placement_counts(p, placements):
+    counter = [0]
+    for _ in enumerate_backtracking_signed(p, counter):
+        pass
+    assert counter == [placements]
+
+
+def test_interleaved_signed_streams_are_independent():
+    # Each call completes its heads from a table of its own, not from one
+    # shared between calls: streams for two p advanced in turn, with their
+    # own counters, match each stream run alone.
+    counters = {4: [0], 5: [0]}
+    streams = {p: enumerate_backtracking_signed(p, c)
+               for p, c in counters.items()}
+    got = {p: [] for p in counters}
+    for pairs in itertools.zip_longest(*streams.values()):
+        for p, pair in zip(streams, pairs):
+            if pair is not None:
+                got[p].append(pair)
+    for p, counter in counters.items():
+        alone = [0]
+        assert got[p] == list(enumerate_backtracking_signed(p, alone))
+        assert counter == alone
 
 
 # -- late-growing permutations --------------------------------------------
