@@ -111,13 +111,19 @@ class ConstReport(NamedTuple):
     def from_record(cls, record: Mapping[str, object]) -> ConstReport:
         """The report a ``to_record`` record holds, checked.
 
-        Raises ``ValueError`` unless every field reads as in the report's
-        own record, so a derived field that disagrees with the four facts
-        is refused, and the signed sum is a multiple of the Wronskian.
+        Raises ``ValueError`` unless every field is present and reads as in
+        the report's own record, so a derived field that disagrees with the
+        four facts is refused, and the signed sum is a multiple of the
+        Wronskian.
         """
-        report = cls(*(int(record[key]) for key in cls._fields))
+        def read(key: str) -> str:
+            if record.get(key) is None:
+                raise ValueError(f"record has no {key}")
+            return str(record[key])
+
+        report = cls(*(int(read(key)) for key in cls._fields))
         for key, value in report.to_record().items():
-            if str(record[key]) != str(value):
+            if read(key) != str(value):
                 raise ValueError(f"{key} {record[key]} is not {value}, the "
                                  f"value recomputed from the record")
         if report.signed_sum % report.wronskian:

@@ -140,9 +140,10 @@ def pruned_suffixes(
     is kept incrementally. ``length`` is at most N - 1; at N - 1 every
     yield is a complete contributing permutation.
 
-    One loop with an explicit stack does the search. The pool of remaining
-    values stays sorted, so at running sum t the feasible candidates, those
-    with v >= p - t, start at ``bisect_left(pool, p - t)``.
+    The search recurses like ``parallel._walk``, one call per placed value.
+    The pool of remaining values stays sorted, so at running sum t the
+    feasible candidates, those with v >= p - t, start at
+    ``bisect_left(pool, p - t)``.
 
     ``counter``, when given, has its first element incremented once per
     candidate placement attempted (pruned or not) - instrumentation for
@@ -151,37 +152,21 @@ def pruned_suffixes(
     """
     pool = list(range(1, 2 * p))
     suffix: list[int] = []
-    if length == 0:
-        yield suffix, 0, 0
-        return
-    last = length - 1  # a node at this depth yields its children directly
-    frames: list[tuple[int, int, int]] = []  # (t, parity, idx) per placement
-    t = parity = 0
-    idx = bisect_left(pool, p)
-    if counter is not None:
-        counter[0] += len(pool)
-    while True:
-        if len(suffix) == last:
-            for i in range(idx, len(pool)):
-                v = pool[i]
-                suffix.append(v)
-                yield suffix, t + v - p, parity ^ ((v - 1 - i) & 1)
-                suffix.pop()
-        elif idx < len(pool):
+
+    def grow(t: int, parity: int) -> Iterator[tuple[list[int], int, int]]:
+        if len(suffix) == length:
+            yield suffix, t, parity
+            return
+        if counter is not None:
+            counter[0] += len(pool)
+        for idx in range(bisect_left(pool, p - t), len(pool)):
             v = pool.pop(idx)
             suffix.append(v)
-            frames.append((t, parity, idx))
-            t += v - p
-            parity ^= (v - 1 - idx) & 1
-            if counter is not None:
-                counter[0] += len(pool)
-            idx = bisect_left(pool, p - t)
-            continue
-        if not frames:
-            return
-        t, parity, idx = frames.pop()
-        pool.insert(idx, suffix.pop())
-        idx += 1
+            yield from grow(t + v - p, parity ^ ((v - 1 - idx) & 1))
+            suffix.pop()
+            pool.insert(idx, v)
+
+    yield from grow(0, 0)
 
 
 def _tails(p: int, rest: frozenset, table: dict):

@@ -66,6 +66,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it must hash like it.
+        if self.degree in (None, 0):
+            return hash(self.leading_coefficient)
         return hash(tuple(self.terms()))
 
     # -- arithmetic ------------------------------------------------------

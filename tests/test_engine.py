@@ -250,6 +250,20 @@ def test_record_with_an_altered_field_is_refused(key):
         ConstReport.from_record(record)
 
 
+@pytest.mark.parametrize("key, dropped", [("p", True), ("const_p", True),
+                                          ("even_count", False)],
+                         ids=["dropped fact", "dropped derived key",
+                              "None field"])
+def test_malformed_record_is_refused_as_value_error(key, dropped):
+    record = const_of_p(3).to_record()
+    if dropped:
+        del record[key]
+    else:
+        record[key] = None
+    with pytest.raises(ValueError, match=key):
+        ConstReport.from_record(record)
+
+
 @pytest.mark.parametrize(
     "record",
     [const_of_p(2), parallel.partition_work(3, 2)[0], subset_dp(2),

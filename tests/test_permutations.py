@@ -214,6 +214,28 @@ def test_signed_stream_is_the_full_pruned_search(p):
     assert streamed == searched
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_pruned_search_at_every_cut_length(p):
+    # References from the exhaustive filter alone: at each length the search
+    # yields the distinct suffixes of the contributing set (rightmost value
+    # first) in increasing order, each with its own running sum and parity,
+    # and counts the whole pool of every node above that length. Length 0
+    # yields the one empty suffix and counts nothing.
+    n = 2 * p
+    filtered = list(enumerate_filtered(p))
+    distinct = [sorted({tuple(reversed(perm[n - d:])) for perm in filtered})
+                for d in range(n)]
+    for length in range(n):
+        counter = [0]
+        got = [(tuple(suffix), t, parity)
+               for suffix, t, parity in pruned_suffixes(p, length, counter)]
+        assert got == [(suffix, sum(v - p for v in suffix),
+                        int(sign(suffix[::-1]) == -1))
+                       for suffix in distinct[length]]
+        assert counter[0] == sum(len(distinct[d]) * (n - 1 - d)
+                                 for d in range(length))
+
+
 @pytest.mark.parametrize("p, placements", [(4, 3_395), (5, 176_992)])
 def test_signed_stream_placement_counts(p, placements):
     counter = [0]

@@ -114,3 +114,8 @@ def test_hash_and_equality():
     assert monomial(0, 7) == 7
     assert ZERO == 0
     assert monomial(1) != 1
+    # Equal objects hash alike: a constant hashes like its int.
+    assert hash(monomial(0, 7)) == hash(7)
+    assert hash(ZERO) == hash(0)
+    assert {7: "a"}.get(monomial(0, 7)) == "a"
+    assert len({monomial(0, 7), 7}) == 1
