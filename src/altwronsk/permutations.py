@@ -16,9 +16,9 @@ all of S_N, for N up to ``FILTER_MAX_N``. ``pruned_suffixes`` is the one
 pruned search of the package: it fills positions right to left and abandons
 any branch whose running sum would go negative. Cut at length p it yields
 the heads of the contributing-set stream (``enumerate_backtracking_signed``),
-which finishes each head from a table keyed by the p - 1 values left
-(``_tails``); cut at a smaller length it yields the subtrees that
-``parallel.partition_work`` hands out as tasks.
+which finishes each head from a table keyed by the p - 1 values left, each
+entry filled by the same search over those values; cut at a smaller length
+it yields the subtrees that ``parallel.partition_work`` hands out as tasks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # enumerate_filtered walks all N! permutations, about 2.5 M a second: 16!
 # alone would take about 100 days, so no larger N can ever finish.
@@ -124,7 +124,8 @@ def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
 
 
 def pruned_suffixes(
-    p: int, length: int, counter: list[int] | None = None
+    p: int, length: int, counter: list[int] | None = None,
+    values: Iterable[int] | None = None,
 ) -> Iterator[tuple[list[int], int, int]]:
     """Every pruned suffix of ``length`` placed values, for N = 2p.
 
@@ -140,6 +141,13 @@ def pruned_suffixes(
     is kept incrementally. ``length`` is at most N - 1; at N - 1 every
     yield is a complete contributing permutation.
 
+    ``values``, when given, are the values still unplaced: the search then
+    resumes below a suffix that placed the others. The values 1..N-1 sum to
+    p(N - 1), so the running sum starts at the sum of (p - v) over
+    ``values``, which is what the placed values reached; ``suffix`` holds
+    only the values placed here, and ``parity`` counts their inversions
+    with every value to their right, the placed ones included.
+
     The search recurses like ``parallel._walk``, one call per placed value.
     The pool of remaining values stays sorted, so at running sum t the
     feasible candidates, those with v >= p - t, start at
@@ -150,7 +158,7 @@ def pruned_suffixes(
     benchmarking. Every remaining value is a candidate, so each node below
     ``length`` adds the size of its pool.
     """
-    pool = list(range(1, 2 * p))
+    pool = list(range(1, 2 * p)) if values is None else sorted(values)
     suffix: list[int] = []
 
     def grow(t: int, parity: int) -> Iterator[tuple[list[int], int, int]]:
@@ -166,43 +174,7 @@ def pruned_suffixes(
             suffix.pop()
             pool.insert(idx, v)
 
-    yield from grow(0, 0)
-
-
-def _tails(p: int, rest: frozenset, table: dict):
-    """The completions below a suffix that leaves the values ``rest`` unplaced.
-
-    Returns ``(items, placements)``, stored in ``table`` under ``rest``.
-    Each item is ``(prefix, sign)``: ``prefix`` is 0 and then an ordering
-    of ``rest``, left to right, and ``sign`` is (-1) to the inversions its
-    values add to the placed suffix. ``placements`` is what
-    ``pruned_suffixes`` would count below the suffix: ``len(rest)`` per
-    node with values left. The values 1..2p-1 sum to p(2p-1), so ``rest``
-    fixes the running sum, t = sum of (p - v) over rest. Items follow the
-    search's order: each v of ``rest`` with t + v - p >= 0, ascending, then
-    the completions of ``rest - {v}``.
-    """
-    found = table.get(rest)
-    if found is not None:
-        return found
-    if not rest:
-        found = [((0,), 1)], 0
-    else:
-        t = sum(p - v for v in rest)
-        items: list[tuple[tuple[int, ...], int]] = []
-        placements = len(rest)
-        for rank, v in enumerate(sorted(rest)):
-            if t + v < p:
-                continue
-            below, count = _tails(p, rest - {v}, table)
-            placements += count
-            # v is placed left of every other placed value; v - 1 - rank
-            # of them are smaller.
-            flip = -1 if (v - 1 - rank) & 1 else 1
-            items.extend((prefix + (v,), s * flip) for prefix, s in below)
-        found = items, placements
-    table[rest] = found
-    return found
+    yield from grow(sum(p - v for v in pool), 0)
 
 
 def enumerate_backtracking_signed(
@@ -214,21 +186,27 @@ def enumerate_backtracking_signed(
     ``pruned_suffixes`` by the pinned 0 in position 1 (which adds no
     inversion), with less work per permutation. The search runs to length
     p only; what completes a head of p values depends only on the p - 1
-    values left, so each such set is completed once, by ``_tails``, in a
-    table that belongs to this call, and every head that leaves it reuses
-    the completions with its own parity.
+    values left, so each such set is completed once, by the same search
+    over those values, in a table that belongs to this call, and every
+    head that leaves it reuses the completions with its own parity.
 
     ``counter``, when given, ends with the count of candidate placements
     the full pruned search attempts, as ``pruned_suffixes`` counts them:
-    the search to length p counts its own, and the table adds each tail's
-    count without attempting its placements again.
+    the search to length p counts its own, and each head adds the count
+    its table entry took, without attempting those placements again.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     values = frozenset(range(1, 2 * p))
     table: dict = {}
     for suffix, _, parity in pruned_suffixes(p, p, counter):
-        items, placements = _tails(p, values.difference(suffix), table)
+        rest = values.difference(suffix)
+        if rest not in table:
+            below = [0]
+            tails = pruned_suffixes(p, p - 1, below, rest)
+            table[rest] = [((0, *reversed(tail)), -1 if odd else 1)
+                           for tail, _, odd in tails], below[0]
+        items, placements = table[rest]
         if counter is not None:
             counter[0] += placements
         head = tuple(reversed(suffix))

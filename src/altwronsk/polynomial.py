@@ -3,11 +3,13 @@
 A polynomial is stored sparsely as a map from exponent to nonzero
 coefficient; the zero polynomial stores nothing. All arithmetic is exact
 (Python integers), so these polynomials are safe to use as the ground truth
-in verification paths.
+in verification paths; the constructor raises ``TypeError`` on an exponent
+or coefficient that is not an ``int``.
 
 The text form writes terms in descending exponent order, "3*x^2 - x + 5".
 ``Polynomial.parse`` accepts the same plus bare forms like "1", "x", "x^3",
-"-4*x^2", and tolerates a Unicode minus sign.
+"-4*x^2", and tolerates a Unicode minus sign and spaces, though not
+between two digits.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class Polynomial:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
         for exp, c in items:
+            if not (isinstance(exp, int) and isinstance(c, int)):
+                raise TypeError(f"non-integer term {c!r}*x^{exp!r}")
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
             acc[exp] = acc.get(exp, 0) + c
@@ -122,6 +126,8 @@ class Polynomial:
     @classmethod
     def parse(cls, text: str) -> Polynomial:
         """Parse the sparse text form, e.g. "3*x^2 - x + 5" or "-4*x^2"."""
+        if re.search(r"\d\s+\d", text):
+            raise ValueError(f"whitespace between digits in {text!r}")
         cleaned = text.replace("−", "-").replace(" ", "")
         # Break into signed terms; a leading sign belongs to the first term.
         chunks = re.split(r"(?=[+-])", cleaned)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -234,6 +235,33 @@ def test_pruned_search_at_every_cut_length(p):
                        for suffix in distinct[length]]
         assert counter[0] == sum(len(distinct[d]) * (n - 1 - d)
                                  for d in range(length))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_search_over_the_values_left_is_the_subtree_below_a_head(p):
+    # Resumed over the values a head leaves unplaced, the search yields the
+    # full search's continuations of that head, in order, with the full
+    # running sums, parities relative to the head's, and the placements the
+    # full search attempts at and below the head.
+    n = 2 * p
+    full = [(tuple(suffix), t, parity)
+            for suffix, t, parity in pruned_suffixes(p, n - 1)]
+    below = collections.Counter()
+    for depth in range(n - 1):
+        for node, _, _ in pruned_suffixes(p, depth):
+            for k in range(depth + 1):
+                below[tuple(node[:k])] += n - 1 - depth
+    for k in range(n):
+        heads = [(tuple(head), parity)
+                 for head, _, parity in pruned_suffixes(p, k)]
+        for head, head_parity in heads:
+            counter = [0]
+            rest = set(range(1, n)).difference(head)
+            got = [(head + tuple(tail), t, parity ^ head_parity)
+                   for tail, t, parity
+                   in pruned_suffixes(p, n - 1 - k, counter, rest)]
+            assert got == [item for item in full if item[0][:k] == head]
+            assert counter == [below[head]]
 
 
 @pytest.mark.parametrize("p, placements", [(4, 3_395), (5, 176_992)])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,14 @@ def test_negative_exponent_rejected():
 
 
 @pytest.mark.parametrize(
+    "coeffs", [{2: 1.5, 0: 1}, {1: 2.0}, {1.0: 1}, {0: Fraction(1, 2)}]
+)
+def test_non_integer_terms_rejected(coeffs):
+    with pytest.raises(TypeError):
+        Polynomial(coeffs)
+
+
+@pytest.mark.parametrize(
     "text, coeffs",
     [
         ("1", {0: 1}),
@@ -40,13 +49,17 @@ def test_negative_exponent_rejected():
         ("3*x^2 - x + 5", {2: 3, 1: -1, 0: 5}),
         ("3*x^2−x+5", {2: 3, 1: -1, 0: 5}),  # Unicode minus
         ("x + x", {1: 2}),
+        ("2 * x", {1: 2}),
+        ("- 4*x^2", {2: -4}),
     ],
 )
 def test_parse(text, coeffs):
     assert Polynomial.parse(text) == Polynomial(coeffs)
 
 
-@pytest.mark.parametrize("text", ["", "y", "x^", "2**x", "+", "3*"])
+@pytest.mark.parametrize(
+    "text", ["", "y", "x^", "2**x", "+", "3*", "1 2", "x ^ 1 0"]
+)
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         Polynomial.parse(text)
