@@ -6,9 +6,10 @@ Results go to stdout; progress and diagnostics to stderr. Exit codes:
 any other exception that no argument caused), 130 interrupted.
 
 Every command's work grows too fast with p. One table, ``_CAPS``, holds the
-two caps of each kind of work, without and with ``--slow``, and ``main``
-checks p against the row of the work a command runs before any handler
-starts; past them it ends with one ``refusing: ...`` line and exit 2.
+two caps of each kind of work, without and with ``--slow``: one row per
+kind, so commands that run the same work share its caps. ``main`` checks p
+against the row of the work a command runs before any handler starts;
+past them it ends with one ``refusing: ...`` line and exit 2.
 
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
@@ -54,55 +55,46 @@ def _cost(p: int) -> str:
     return cost_text(p)
 
 
-def _orderings(p: int) -> str:
-    """(2p)! in full, or the text "(2p)!" where it has more digits than an
-    int may print (``sys.get_int_max_str_digits``); never computed then."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and math.lgamma(2 * p + 1) >= limit * math.log(10):
-        return "(2p)!"
-    return str(math.factorial(2 * p))
-
-
 # Each kind of work: the largest p it runs without --slow, the largest with
 # it, and the reason a refusal gives at p. A cap with --slow is the largest
 # p that work has run: the subset DP at 13 (185.8 s and 1,703 MB; its
 # memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
-# bench's one-process stream at 6 (about 1.3 s), the oracle at 10 (about
-# 23 s), one theorem-random trial at 8 (about 35 s), the filter at 5 (all
-# 3.6 M orderings, about 1.3 s) and the oeis stream at 6 (about 1.4 s).
-# Without --slow, the modes of verify stop at a few seconds.
+# the one-process stream of the contributing set at 6 (about 1.3 s), the
+# exhaustive filter at 5 (all 3.6 M orderings, about 1.3 s), the oracle at
+# 10 (about 23 s) and one theorem-random trial at 8 (about 35 s). Where
+# --slow lifts a cap, the cap without it stops at a few seconds.
 _CAPS = {
     "dp": _ran_up_to("the subset DP", 13,
                      "about 3 min and 1.7 GB, 4x the memory per step"),
     "walk": _ran_up_to("the walk", 7, "495 s on 2 processes"),
-    "stream": _ran_up_to("the v2 stream", 6, "about 1.3 s in one process"),
+    "stream": _ran_up_to("the contributing-set stream", 6,
+                         "about 1.3 s in one process"),
+    "filter": _ran_up_to("the exhaustive filter", 5,
+                         "all 3,628,800 orderings, about 1.3 s"),
     "oracle": (8, 10, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
     "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
                                        f"{_cost(p)} per trial"),
-    "generators": (4, 5, lambda p: f"generator comparison filters all "
-                                   f"{_orderings(p)} permutations at p={p}"),
-    "oeis": (5, 6, lambda p: f"oeis mode streams the contributing set at "
-                             f"p={p}"),
-    "v1": (4, 4, lambda p: f"the exhaustive filter walks {_orderings(p)} "
-                           f"permutations at p={p}"),
 }
+
+# The work of each verify mode that is not named after its own row.
+_VERIFY_WORK = {"parity": "dp", "generators": "filter", "oeis": "stream"}
 
 
 def _refusal(args: argparse.Namespace) -> str | None:
     """Why the command declines its p, or None when p is within its cap.
 
     The row is that of the work the command runs: ``table`` the DP, checked
-    on ``--max-p``; ``verify`` its mode, with ``parity`` the DP; ``bench``
-    v1, the stream with one worker or the walk with more; ``const`` the walk
-    above one worker, else the DP. The reason suggests ``--slow`` only when
-    that would let this p run.
+    on ``--max-p``; ``verify`` its mode's work (``_VERIFY_WORK``); ``bench``
+    the filter for v1, else the stream with one worker or the walk with
+    more; ``const`` the walk above one worker, else the DP. The reason
+    suggests ``--slow`` only when that would let this p run.
     """
     p = args.max_p if args.command == "table" else args.p
     kind = "walk" if getattr(args, "workers", 1) > 1 else "dp"
-    if args.command == "verify" and args.mode != "parity":
-        kind = args.mode
+    if args.command == "verify":
+        kind = _VERIFY_WORK.get(args.mode, args.mode)
     elif args.command == "bench" and args.algo == "v1":
-        kind = "v1"
+        kind = "filter"
     elif args.command == "bench" and kind == "dp":
         kind = "stream"
     cap, slow_cap, reason = _CAPS[kind]
@@ -402,9 +394,10 @@ def _verify_parity(args):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    tasks = 1
+    tasks, workers = 1, args.workers
     started = time.perf_counter()
     if args.algo == "v1":
+        workers = 1  # the filter runs in this process
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
     elif args.workers == 1:
@@ -421,10 +414,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     record = {
         "command": "bench", "algo": args.algo, "p": args.p,
-        "workers": args.workers, "emitted": emitted, "examined": examined,
+        "workers": workers, "emitted": emitted, "examined": examined,
         "tasks": tasks, "elapsed_s": round(elapsed, 6),
     }
-    line = (f"bench {args.algo} p={args.p} workers={args.workers}: "
+    line = (f"bench {args.algo} p={args.p} workers={workers}: "
             f"emitted={_underscored(emitted)} examined={_underscored(examined)} "
             f"tasks={tasks} elapsed={elapsed:.3f}s")
     _emit(args.format, [record], [line])

@@ -18,22 +18,21 @@ term, a subset whose value is zero or a zero entry. Nothing here knows
 about the contributing-set construction or the falling-factorial closed
 form, and the recursion runs over weight indices, not exponent values,
 which is what makes it a genuine cross-check of the fast engine.
+
+The sum costs 2^(2p) derivatives and 2p * 2^(2p-1) products
+(``cost_text``): with the monomial weights, p = 8 takes about 1 s, p = 9
+about 6 s and p = 10 about 23 s. The functions here run any p they are
+given; the command line's cap (``cli._CAPS``) is the one limit on it.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import ExactDivisionError
 from .polynomial import ONE, ZERO, Polynomial, monomial
-
-# The signed sum over all (2p)! orderings costs 2^(2p) derivatives and
-# 2p * 2^(2p-1) products; warn once past this arity. With the monomial
-# weights, p = 8 takes about 1 s, p = 9 about 6 s and p = 10 about 23 s.
-_COMFORTABLE_MAX_P = 8
 
 
 def alternating_composition(
@@ -55,8 +54,11 @@ def alternating_composition(
     one index larger, literally ``weights[j] * d``: 2^(2p) derivatives and
     2p * 2^(2p-1) products in place of one composition per ordering.
     """
-    n = _check_arity(p, weights)
-    return _alternating_sum(f, [weights] * n, lambda s: s.derivative(p))
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if len(weights) != 2 * p:
+        raise ValueError(f"expected {2 * p} weights, got {len(weights)}")
+    return _alternating_sum(f, [weights] * (2 * p), lambda s: s.derivative(p))
 
 
 def _alternating_sum(start: Polynomial, rows: Sequence[Sequence[Polynomial]],
@@ -94,22 +96,6 @@ def _alternating_sum(start: Polynomial, rows: Sequence[Sequence[Polynomial]],
                     pushed[grown] = sofar - term if odd else sofar + term
         layer = pushed
     return layer.get((1 << len(rows)) - 1, ZERO)
-
-
-def _check_arity(p: int, weights: Sequence[Polynomial]) -> int:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    n = 2 * p
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    if p > _COMFORTABLE_MAX_P:
-        warnings.warn(
-            f"the literal oracle takes {cost_text(p)} (p={p}); "
-            f"this will take a while",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return n
 
 
 def symbolic_wronskian(weights: Sequence[Polynomial]) -> Polynomial:

@@ -24,7 +24,6 @@ it yields the subtrees that ``parallel.partition_work`` hands out as tasks.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
@@ -115,8 +114,8 @@ def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
     n = 2 * p
     if n > FILTER_MAX_N:
         raise ValueError(
-            f"N = {n} exceeds the exhaustive-filter cap {FILTER_MAX_N} "
-            f"({math.factorial(n)} permutations); use enumerate_backtracking"
+            f"N = {n} exceeds the exhaustive-filter cap {FILTER_MAX_N}; "
+            "use enumerate_backtracking"
         )
     for perm in itertools.permutations(range(n)):
         if is_contributing(perm, p):

@@ -176,8 +176,7 @@ def _refusal(capsys, *argv) -> str:
 
 
 @pytest.mark.parametrize(
-    "mode, p", [("oracle", 9), ("theorem-random", 6), ("generators", 5),
-                ("oeis", 6)],
+    "mode, p", [("oracle", 9), ("theorem-random", 6)],
 )
 def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
     err = _refusal(capsys, "verify", "--p", str(p), "--mode", mode)
@@ -188,7 +187,7 @@ def test_verify_refuses_infeasible_without_slow(capsys, mode, p):
     "argv",
     [("verify", "--p", "9", "--mode", "generators", "--slow"),
      ("verify", "--p", "9", "--mode", "generators"),
-     ("bench", "--p", "5", "--algo", "v1")],
+     ("bench", "--p", "6", "--algo", "v1")],
     ids=" ".join,
 )
 def test_refusal_suggests_slow_only_where_it_lifts_the_cap(capsys, argv):
@@ -214,8 +213,7 @@ def test_verify_oeis_p5_runs_without_slow(capsys):
     ids=" ".join,
 )
 def test_refusal_at_large_p_is_a_refusal(capsys, argv):
-    # (2p)! has 5,736 digits here, more than an int may print: the reason
-    # names the count rather than printing it.
+    # Even at p = 1000 the reason is one short line.
     assert len(_refusal(capsys, *argv)) < 200
 
 
@@ -313,10 +311,32 @@ def test_bench_v2_refuses_past_its_cap(capsys, monkeypatch, workers, cap,
                                     "--algo", "v2", "--workers", workers)
 
 
-def test_oracle_mode_runs_without_slow_where_the_oracle_never_warns():
-    from altwronsk import cli, oracle
+# Commands that run the same kind of work, by their row in cli._CAPS, and
+# the function in cli where each one's work starts.
+SAME_WORK = [
+    ("dp", "const --p {p}", "const_of_p"),
+    ("dp", "table --max-p {p}", "const_of_p"),
+    ("dp", "verify --p {p} --mode parity", "const_of_p"),
+    ("walk", "const --p {p} --workers 2", "const_of_p"),
+    ("walk", "bench --p {p} --algo v2 --workers 2", "parallel.partition_work"),
+    ("stream", "bench --p {p} --algo v2", "enumerate_backtracking_signed"),
+    ("stream", "verify --p {p} --mode oeis", "enumerate_backtracking"),
+    ("filter", "bench --p {p} --algo v1", "enumerate_filtered"),
+    ("filter", "verify --p {p} --mode generators", "enumerate_filtered"),
+]
 
-    assert cli._CAPS["oracle"][0] == oracle._COMFORTABLE_MAX_P
+
+@pytest.mark.parametrize("kind, command, work", SAME_WORK,
+                         ids=[c.format(p="P") for _, c, _ in SAME_WORK])
+def test_the_same_work_has_the_same_cap(capsys, monkeypatch, kind, command,
+                                        work):
+    from altwronsk.cli import _CAPS
+
+    _work_starts(monkeypatch, work)
+    cap = _CAPS[kind][0]
+    assert run_cli(capsys, *command.format(p=cap).split()) == (
+        3, "", "internal error: work started\n")
+    _refusal(capsys, *command.format(p=cap + 1).split())
 
 
 def test_verify_generators_failure_names_permutations_one_based(
@@ -450,16 +470,19 @@ def test_verify_unknown_mode(capsys):
 
 
 def test_bench_v1(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--p", "3", "--algo", "v1",
-                           "--format", "jsonl")
-    assert code == 0
-    record = json.loads(out)
-    assert record["examined"] == 720
-    assert record["emitted"] == 35
+    # The filter runs in one process, whatever --workers asks for.
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "bench", "--p", "3", "--algo", "v1",
+                               "--workers", workers, "--format", "jsonl")
+        assert code == 0
+        record = json.loads(out)
+        assert record["examined"] == 720
+        assert record["emitted"] == 35
+        assert record["workers"] == 1
 
 
 def test_bench_v1_refuses_large_p(capsys):
-    code, _, err = run_cli(capsys, "bench", "--p", "5", "--algo", "v1")
+    code, _, err = run_cli(capsys, "bench", "--p", "6", "--algo", "v1")
     assert code == 2
     assert "refusing" in err
 

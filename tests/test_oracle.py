@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from altwronsk.engine import (
     wronskian_of_monomials,
 )
 from altwronsk.oracle import (
-    _check_arity,
     alternating_composition,
     brute_force_const,
     monomial_weights,
@@ -144,16 +142,6 @@ def test_alternating_composition_validates_arity():
         alternating_composition(0, [], ONE)
 
 
-def test_large_arity_warns():
-    with pytest.warns(RuntimeWarning, match=r"2\^18 derivatives and 18 \* "
-                                            r"2\^17 products \(p=9\)"):
-        _check_arity(9, [ONE] * 18)
-    # p = 8 takes seconds, so it runs without a warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _check_arity(8, [ONE] * 16) == 16
-
-
 def test_antisymmetry_on_random_instances():
     rng = random.Random(2024)
     for p in (1, 2):
@@ -280,14 +268,6 @@ def test_brute_force_const_small():
     assert brute_force_const(1) == 1
     assert brute_force_const(2) == 2
     assert brute_force_const(3) == 90
-
-
-def test_brute_force_const_warns_once_past_the_comfortable_arity(
-        monkeypatch):
-    monkeypatch.setattr(oracle, "_COMFORTABLE_MAX_P", 1)
-    with pytest.warns(RuntimeWarning) as caught:
-        assert brute_force_const(2) == 2
-    assert len(caught) == 1
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,15 @@ def test_filtered_respects_cap():
         next(enumerate_filtered(9))
 
 
+def test_filtered_refuses_any_p_past_the_cap_by_name():
+    # (2p)! is never printed: at p = 1000 it has more digits than an int
+    # may print, which would raise in place of the refusal.
+    with pytest.raises(ValueError, match="^N = 2000 exceeds the exhaustive-"
+                                         "filter cap 16; use "
+                                         "enumerate_backtracking$"):
+        next(enumerate_filtered(1000))
+
+
 def test_backtracking_order_is_deterministic():
     assert list(enumerate_backtracking(2)) == [
         (0, 1, 3, 2), (0, 2, 1, 3), (0, 1, 2, 3)

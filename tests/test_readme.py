@@ -18,12 +18,12 @@ CAP_ROWS = {
     "`const` (subset DP), `table --max-p`, `verify --mode parity`": "dp",
     "`const --workers` and `bench --algo v2 --workers` above 1 (the walk)":
         "walk",
-    "`bench --algo v2 --workers 1` (the stream)": "stream",
+    "`bench --algo v2 --workers 1` and `verify --mode oeis` (the stream)":
+        "stream",
+    "`bench --algo v1` and `verify --mode generators` (the exhaustive "
+    "filter)": "filter",
     "`verify --mode oracle`": "oracle",
     "`verify --mode theorem-random`": "theorem-random",
-    "`verify --mode generators`": "generators",
-    "`verify --mode oeis`": "oeis",
-    "`bench --algo v1`": "v1",
 }
 
 
