@@ -34,10 +34,8 @@ _OWNER = {
     "format_permutation": "permutations",
     "is_contributing": "permutations",
     "is_late_growing": "permutations",
-    "is_permutation": "permutations",
     "monomial": "polynomial",
     "monomial_weights": "oracle",
-    "parse_permutation": "permutations",
     "random_polynomial": "oracle",
     "ratios": "engine",
     "render_ratio": "engine",

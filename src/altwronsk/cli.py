@@ -394,10 +394,9 @@ def _verify_parity(args):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    tasks, workers = 1, args.workers
+    tasks = workers = 1  # the filter and the stream run in this process
     started = time.perf_counter()
     if args.algo == "v1":
-        workers = 1  # the filter runs in this process
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
     elif args.workers == 1:
@@ -411,6 +410,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         emitted = parallel.reduce(pr for pr, _ in pairs).terms_evaluated
         examined = sum(count for _, count in pairs)
         tasks = len(work)
+        workers = parallel.pool_size(args.workers, tasks)
     elapsed = time.perf_counter() - started
     record = {
         "command": "bench", "algo": args.algo, "p": args.p,

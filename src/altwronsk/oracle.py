@@ -51,8 +51,8 @@ def alternating_composition(
     where b(j) counts the members of T below j: the inversions that j, in
     front, makes with the rest. ``_alternating_sum`` builds S for every
     subset, each subset's derivative taken once and pushed to the subsets
-    one index larger, literally ``weights[j] * d``: 2^(2p) derivatives and
-    2p * 2^(2p-1) products in place of one composition per ordering.
+    one index larger, literally ``+-weights[j] * d``: 2^(2p) derivatives
+    and 2p * 2^(2p-1) products in place of one composition per ordering.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -87,13 +87,10 @@ def _alternating_sum(start: Polynomial, rows: Sequence[Sequence[Polynomial]],
                     continue
                 if not entry:
                     continue
-                term = entry * d
+                term = (-entry if odd else entry) * d
                 grown = subset | bit
                 sofar = pushed.get(grown)
-                if sofar is None:
-                    pushed[grown] = -term if odd else term
-                else:
-                    pushed[grown] = sofar - term if odd else sofar + term
+                pushed[grown] = term if sofar is None else sofar + term
         layer = pushed
     return layer.get((1 << len(rows)) - 1, ZERO)
 
@@ -144,10 +141,8 @@ def verify_theorem(
     rhs = symbolic_wronskian(weights) * f.derivative(p)
     if not rhs:
         return VerificationRecord(holds=not lhs, extracted_const=None)
-    if not lhs:
-        return VerificationRecord(holds=True, extracted_const=Fraction(0))
-    if lhs.degree != rhs.degree:
-        return VerificationRecord(holds=False, extracted_const=None)
+    # A zero lhs fits the ratio 0. Sides of different degrees fail the
+    # cross-multiplication: a nonzero integer factor keeps each degree.
     ratio = Fraction(lhs.leading_coefficient, rhs.leading_coefficient)
     if lhs * ratio.denominator == rhs * ratio.numerator:
         return VerificationRecord(holds=True, extracted_const=ratio)

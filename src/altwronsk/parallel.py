@@ -151,15 +151,21 @@ def run_task(task: SubtreeTask) -> PartialResult:
     return run_task_counting(task)[0]
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """How many processes ``run_tasks`` uses for ``tasks`` tasks:
+    ``workers``, but never more than there are tasks or CPUs
+    (``os.cpu_count()``); 1 means this process."""
+    return min(workers, tasks, os.cpu_count() or 1)
+
+
 def run_tasks(tasks: list[SubtreeTask],
               workers: int) -> Iterator[tuple[PartialResult, int]]:
     """``run_task_counting`` over every task, yielding each result as it ends.
 
-    Starts at most ``workers`` processes, and never more than there are
-    tasks or CPUs (``os.cpu_count()``); runs in this process when that
-    leaves one, else on the pool, in completion order.
+    Runs in this process when ``pool_size`` leaves one, else on a pool of
+    that many processes, in completion order.
     """
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = pool_size(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
             yield run_task_counting(task)

@@ -1,8 +1,8 @@
 """Permutations in one-line notation and the contributing-set generators.
 
 A permutation of N symbols is a tuple of the integers 0..N-1: entry i is the
-0-based value at position i+1. Text I/O uses the 1-based one-line convention,
-e.g. "(1,3,2,4)" for the tuple (0, 2, 1, 3); see ``parse_permutation`` and
+0-based value at position i+1. Text output uses the 1-based one-line
+convention, e.g. "(1,3,2,4)" for the tuple (0, 2, 1, 3); see
 ``format_permutation``. In operator work the 0-based value at a position is
 exactly the degree of the monomial weight placed there, which is why the
 0-based form is the internal one.
@@ -32,11 +32,6 @@ from typing import Iterable, Iterator, Sequence
 FILTER_MAX_N = 16
 
 
-def is_permutation(word: Sequence[int]) -> bool:
-    """True iff word is a permutation of 0..len(word)-1."""
-    return sorted(word) == list(range(len(word)))
-
-
 def sign(perm: Sequence[int]) -> int:
     """The sign (-1)**inversions of a permutation; +1 or -1.
 
@@ -48,21 +43,6 @@ def sign(perm: Sequence[int]) -> int:
         1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
     )
     return -1 if inversions & 1 else 1
-
-
-def parse_permutation(text: str) -> tuple[int, ...]:
-    """Parse 1-based one-line text like "(1,3,2,4)" (parentheses optional)."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    try:
-        values = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ValueError(f"malformed permutation text: {text!r}") from None
-    perm = tuple(v - 1 for v in values)
-    if not is_permutation(perm):
-        raise ValueError(f"not a permutation of 1..{len(perm)}: {text!r}")
-    return perm
 
 
 def format_permutation(perm: Sequence[int]) -> str:

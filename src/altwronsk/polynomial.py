@@ -6,23 +6,15 @@ coefficient; the zero polynomial stores nothing. All arithmetic is exact
 in verification paths; the constructor raises ``TypeError`` on an exponent
 or coefficient that is not an ``int``.
 
-The text form writes terms in descending exponent order, "3*x^2 - x + 5".
-``Polynomial.parse`` accepts the same plus bare forms like "1", "x", "x^3",
-"-4*x^2", and tolerates a Unicode minus sign and spaces, though not
-between two digits.
+``str`` writes the terms in descending exponent order, "3*x^2 - x + 5",
+and the zero polynomial as "0". The text form is output only: values are
+built from exponent-to-coefficient maps, never read back from text.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from typing import Iterable, Mapping, Union
-
-_TERM_RE = re.compile(
-    r"""^(?P<coeff>\d+)?                       # optional integer coefficient
-        (?:\*?(?P<var>x(\^(?P<exp>\d+))?))?$   # optional '*' then variable""",
-    re.VERBOSE,
-)
 
 CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
@@ -122,32 +114,6 @@ class Polynomial:
         )
 
     # -- text form -------------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> Polynomial:
-        """Parse the sparse text form, e.g. "3*x^2 - x + 5" or "-4*x^2"."""
-        if re.search(r"\d\s+\d", text):
-            raise ValueError(f"whitespace between digits in {text!r}")
-        cleaned = text.replace("−", "-").replace(" ", "")
-        # Break into signed terms; a leading sign belongs to the first term.
-        chunks = re.split(r"(?=[+-])", cleaned)
-        coeffs: list[tuple[int, int]] = []
-        for chunk in chunks:
-            if not chunk:
-                continue
-            sign, body = 1, chunk
-            if body[0] in "+-":
-                sign = -1 if body[0] == "-" else 1
-                body = body[1:]
-            m = _TERM_RE.match(body) if body else None
-            if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise ValueError(f"malformed term {chunk!r} in {text!r}")
-            coeff = sign * int(m.group("coeff") or "1")
-            exp = 0 if m.group("var") is None else int(m.group("exp") or "1")
-            coeffs.append((exp, coeff))
-        if not coeffs:
-            raise ValueError(f"empty polynomial text: {text!r}")
-        return cls(coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:

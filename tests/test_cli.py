@@ -525,6 +525,20 @@ def test_bench_v2_parallel(capsys):
     assert record["tasks"] > 1
 
 
+def test_bench_v2_reports_the_processes_it_ran(capsys, monkeypatch):
+    # With one CPU, --workers 8 runs in this process, and says so.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, out, _ = run_cli(capsys, "bench", "--p", "3", "--algo", "v2",
+                           "--workers", "8", "--format", "jsonl")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["workers"], record["emitted"]) == (1, 35)
+
+
 def test_missing_subcommand(capsys):
     code, _, _ = run_cli(capsys, "--nonsense")
     assert code == 2

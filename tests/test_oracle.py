@@ -50,7 +50,7 @@ def test_alternating_composition_small_cases():
     assert alternating_composition(
         1, monomial_weights(2), monomial(2)) == monomial(1, 2)
     assert alternating_composition(
-        2, monomial_weights(4), monomial(2)) == Polynomial.parse("48")
+        2, monomial_weights(4), monomial(2)) == monomial(0, 48)
     assert alternating_composition(
         1, [monomial(1), monomial(1)], monomial(5)) == Polynomial()
 
@@ -89,9 +89,9 @@ def test_subset_sum_matches_literal_reference_on_monomials():
 class _Orderings:
     """Stands in for a polynomial: an element of the free algebra of the
     weights, a map from ordering word (weight indices, outermost first) to
-    coefficient. ``derivative`` is the identity and a weight's product puts
-    its index in front of every word, so each composition keeps its
-    ordering through the oracle's sums."""
+    coefficient. ``derivative`` is the identity and a (signed) weight's
+    product puts its index in front of every word, so each composition
+    keeps its ordering through the oracle's sums."""
 
     def __init__(self, words):
         self.words = {word: c for word, c in words.items() if c}
@@ -116,11 +116,14 @@ class _Orderings:
 
 
 class _Weight:
-    def __init__(self, index):
-        self.index = index
+    def __init__(self, index, sign=1):
+        self.index, self.sign = index, sign
+
+    def __neg__(self):
+        return _Weight(self.index, -self.sign)
 
     def __mul__(self, other):
-        return _Orderings({(self.index,) + word: c
+        return _Orderings({(self.index,) + word: self.sign * c
                            for word, c in other.words.items()})
 
 
@@ -168,7 +171,7 @@ def test_scalar_multilinearity_on_random_instances():
 
 
 def test_symbolic_wronskian_examples():
-    assert symbolic_wronskian(monomial_weights(4)) == Polynomial.parse("12")
+    assert symbolic_wronskian(monomial_weights(4)) == monomial(0, 12)
     assert symbolic_wronskian(monomial_weights(2)) == ONE
     assert symbolic_wronskian([monomial(1), monomial(1)]) == Polynomial()
     with pytest.raises(ValueError):
@@ -240,6 +243,19 @@ def test_verify_theorem_degenerate_weights():
     record = verify_theorem(1, [monomial(1), monomial(1)])
     assert record.holds
     assert record.extracted_const is None
+
+
+def test_verify_theorem_zero_composition_fits_ratio_zero(monkeypatch):
+    monkeypatch.setattr(oracle, "alternating_composition",
+                        lambda *args: Polynomial())
+    assert verify_theorem(2, monomial_weights(4)) == (True, Fraction(0))
+
+
+def test_verify_theorem_degree_mismatch_fails(monkeypatch):
+    # Wronskian 12 times (x^6)'' is 360 x^4; a cubic cannot be proportional.
+    monkeypatch.setattr(oracle, "alternating_composition",
+                        lambda *args: monomial(3, 360))
+    assert verify_theorem(2, monomial_weights(4)) == (False, None)
 
 
 def test_per_term_composition_matches_closed_form():

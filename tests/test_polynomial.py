@@ -18,7 +18,7 @@ def test_duplicate_exponents_are_summed():
 
 
 def test_degree_and_leading_coefficient():
-    p = Polynomial.parse("3*x^2 - x + 5")
+    p = Polynomial({2: 3, 1: -1, 0: 5})
     assert p.degree == 2
     assert p.leading_coefficient == 3
     assert ZERO.degree is None
@@ -38,53 +38,30 @@ def test_non_integer_terms_rejected(coeffs):
         Polynomial(coeffs)
 
 
-@pytest.mark.parametrize(
-    "text, coeffs",
-    [
-        ("1", {0: 1}),
-        ("x", {1: 1}),
-        ("x^3", {3: 1}),
-        ("-4*x^2", {2: -4}),
-        ("-x", {1: -1}),
-        ("3*x^2 - x + 5", {2: 3, 1: -1, 0: 5}),
-        ("3*x^2−x+5", {2: 3, 1: -1, 0: 5}),  # Unicode minus
-        ("x + x", {1: 2}),
-        ("2 * x", {1: 2}),
-        ("- 4*x^2", {2: -4}),
-    ],
-)
-def test_parse(text, coeffs):
-    assert Polynomial.parse(text) == Polynomial(coeffs)
-
-
-@pytest.mark.parametrize(
-    "text", ["", "y", "x^", "2**x", "+", "3*", "1 2", "x ^ 1 0"]
-)
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        Polynomial.parse(text)
-
-
 def test_str_parse_round_trip():
-    rng = random.Random(20240817)
-    for _ in range(50):
-        poly = Polynomial(
-            {e: rng.randint(-9, 9) for e in rng.sample(range(8), k=4)}
-        )
-        assert Polynomial.parse(str(poly)) == poly
-    assert str(ZERO) == "0"
-    assert Polynomial.parse("0") == ZERO
+    # The text form is output only, so each exact str() text is pinned.
+    for coeffs, text in [
+        ({}, "0"),
+        ({0: 1}, "1"),
+        ({1: 1}, "x"),
+        ({3: 1}, "x^3"),
+        ({2: -4}, "-4*x^2"),
+        ({1: -1}, "-x"),
+        ({0: 5, 1: -1, 2: 3}, "3*x^2 - x + 5"),
+        ({4: -2, 1: 1, 0: -7}, "-2*x^4 + x - 7"),
+    ]:
+        assert str(Polynomial(coeffs)) == text
 
 
 def test_arithmetic_identities():
-    a = Polynomial.parse("x^2 + 2*x")
-    b = Polynomial.parse("x - 3")
-    assert a + b == Polynomial.parse("x^2 + 3*x - 3")
+    a = Polynomial({2: 1, 1: 2})
+    b = Polynomial({1: 1, 0: -3})
+    assert a + b == Polynomial({2: 1, 1: 3, 0: -3})
     assert a - a == ZERO
-    assert a * b == Polynomial.parse("x^3 - x^2 - 6*x")
+    assert a * b == Polynomial({3: 1, 2: -1, 1: -6})
     assert a * ONE == a
     assert a * ZERO == ZERO
-    assert 2 * a == a * 2 == Polynomial.parse("2*x^2 + 4*x")
+    assert 2 * a == a * 2 == Polynomial({2: 2, 1: 4})
     assert -(-a) == a
 
 
@@ -105,7 +82,7 @@ def test_ring_axioms_on_random_instances():
 def test_derivative_basics():
     assert monomial(3).derivative(2) == monomial(1, 6)
     assert monomial(1).derivative(2) == ZERO
-    assert Polynomial.parse("5").derivative() == ZERO
+    assert monomial(0, 5).derivative() == ZERO
     assert monomial(4).derivative(0) == monomial(4)
     with pytest.raises(ValueError):
         monomial(2).derivative(-1)
