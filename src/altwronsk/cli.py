@@ -206,11 +206,13 @@ def _emit(fmt: str, records: list[dict], human_lines: list[str]) -> None:
             print(json.dumps(record))
     else:
         import csv
+        import json
 
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(records[0].keys()))
         writer.writeheader()
-        writer.writerows(records)
+        writer.writerows({k: json.dumps(v) if isinstance(v, list) else v
+                          for k, v in record.items()} for record in records)
         sys.stdout.write(buffer.getvalue())
 
 

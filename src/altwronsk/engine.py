@@ -25,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import parallel
 from .permutations import suffix_partial_sums
@@ -62,7 +62,9 @@ class ConstReport(NamedTuple):
     """Everything computed for one p: counts, exact sums, and ratios.
 
     Stores the four computed facts; |Phi_p|, the Wronskian, the constant
-    and its two ratios follow from them.
+    and its two ratios follow from them. ``to_record`` writes the report
+    out; the package reads no record back, so ``const_of_p`` is the one
+    place where the exact division is checked.
     """
 
     p: int
@@ -106,29 +108,6 @@ class ConstReport(NamedTuple):
             "ratio_p_factorial": _format_fraction(self.ratio_p_factorial),
             "ratio_N_factorial": _format_fraction(self.ratio_N_factorial),
         }
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, object]) -> ConstReport:
-        """The report a ``to_record`` record holds, checked.
-
-        Raises ``ValueError`` unless every field is present and reads as in
-        the report's own record, so a derived field that disagrees with the
-        four facts is refused, and the signed sum is a multiple of the
-        Wronskian.
-        """
-        def read(key: str) -> str:
-            if record.get(key) is None:
-                raise ValueError(f"record has no {key}")
-            return str(record[key])
-
-        report = cls(*(int(read(key)) for key in cls._fields))
-        for key, value in report.to_record().items():
-            if read(key) != str(value):
-                raise ValueError(f"{key} {record[key]} is not {value}, the "
-                                 f"value recomputed from the record")
-        if report.signed_sum % report.wronskian:
-            raise ValueError("signed_sum is not a multiple of the Wronskian")
-        return report
 
 
 def _format_fraction(value: Fraction) -> str:

@@ -13,9 +13,9 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import altwronsk
-from altwronsk import parallel
+from altwronsk import oracle, parallel
 from altwronsk.cli import main
-from altwronsk.engine import ConstReport, const_of_p
+from altwronsk.engine import const_of_p
 
 
 def run_cli(capsys, *argv):
@@ -72,8 +72,7 @@ def test_const_jsonl_round_trip(capsys):
     code, out, _ = run_cli(capsys, "const", "--p", "4", "--workers", "1",
                            "--format", "jsonl")
     assert code == 0
-    record = json.loads(out.strip())
-    assert ConstReport.from_record(record) == const_of_p(4)
+    assert json.loads(out) == const_of_p(4).to_record()
 
 
 def test_const_csv_round_trip(capsys):
@@ -81,8 +80,7 @@ def test_const_csv_round_trip(capsys):
                            "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 1
-    assert ConstReport.from_record(rows[0]) == const_of_p(3)
+    assert rows == [{k: str(v) for k, v in const_of_p(3).to_record().items()}]
 
 
 def test_const_identical_across_workers(capsys):
@@ -128,10 +126,9 @@ def test_table_three_ratio_column(capsys):
 def test_table_jsonl_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-p", "3", "--format", "jsonl")
     assert code == 0
-    reports = [ConstReport.from_record(json.loads(line))
-               for line in out.splitlines()]
-    assert [r.p for r in reports] == [1, 2, 3]
-    assert [r.const_p for r in reports] == [1, 2, 90]
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == [const_of_p(p).to_record() for p in (1, 2, 3)]
+    assert [r["const_p"] for r in records] == ["1", "2", "90"]
 
 
 def test_table_rejects_bad_which(capsys):
@@ -165,6 +162,20 @@ def test_verify_jsonl_record(capsys):
     assert record["passed"] is True
     assert record["phi_size"] == 3
     assert record["late_growing"] == 3
+
+
+def test_verify_csv_writes_failures_as_json(capsys, monkeypatch):
+    # A failing run's list of failures is JSON text in its csv cell, the
+    # same list that jsonl nests.
+    monkeypatch.setattr(oracle, "verify_theorem",
+                        lambda *_: oracle.VerificationRecord(False, None))
+    argv = ("verify", "--p", "1", "--mode", "theorem-random", "--trials", "1")
+    _, jsonl, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    (row,) = csv.DictReader(io.StringIO(out))
+    failures = json.loads(jsonl)["failures"]
+    assert code == 1 and len(failures) == 1
+    assert json.loads(row["failures"]) == failures
 
 
 def _refusal(capsys, *argv) -> str:
@@ -425,7 +436,7 @@ def test_python_dash_m_runs_the_cli():
          "--format", "jsonl", "--no-progress"],
         capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
-    assert ConstReport.from_record(json.loads(done.stdout)) == const_of_p(2)
+    assert json.loads(done.stdout) == const_of_p(2).to_record()
 
 
 def test_closed_stdout_is_an_internal_error():
