@@ -9,7 +9,8 @@ Every command's work grows too fast with p. One table, ``_CAPS``, holds the
 two caps of each kind of work, without and with ``--slow``: one row per
 kind, so commands that run the same work share its caps. ``main`` checks p
 against the row of the work a command runs before any handler starts;
-past them it ends with one ``refusing: ...`` line and exit 2.
+past them it ends with one ``refusing: ...`` line and exit 2. Each verify
+mode is one row of ``_VERIFY``: its ``_CAPS`` row and its check.
 
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
@@ -25,7 +26,7 @@ import sys
 import time
 
 from . import parallel
-from .engine import ConstReport, ExactDivisionError, const_of_p, render_ratio
+from .engine import ConstReport, const_of_p, render_ratio
 from .permutations import (
     count_late_growing,
     enumerate_backtracking,
@@ -50,9 +51,9 @@ def _ran_up_to(work: str, cap: int, cost: str):
 
 
 def _cost(p: int) -> str:
-    from .oracle import cost_text  # loaded only to word a refusal
-
-    return cost_text(p)
+    """The oracle's work at p: its derivatives and products."""
+    n = 2 * p
+    return f"2^{n} derivatives and {n} * 2^{n - 1} products"
 
 
 # Each kind of work: the largest p it runs without --slow, the largest with
@@ -76,15 +77,12 @@ _CAPS = {
                                        f"{_cost(p)} per trial"),
 }
 
-# The work of each verify mode that is not named after its own row.
-_VERIFY_WORK = {"parity": "dp", "generators": "filter", "oeis": "stream"}
-
 
 def _refusal(args: argparse.Namespace) -> str | None:
     """Why the command declines its p, or None when p is within its cap.
 
     The row is that of the work the command runs: ``table`` the DP, checked
-    on ``--max-p``; ``verify`` its mode's work (``_VERIFY_WORK``); ``bench``
+    on ``--max-p``; ``verify`` its mode's row in ``_VERIFY``; ``bench``
     the filter for v1, else the stream with one worker or the walk with
     more; ``const`` the walk above one worker, else the DP. The reason
     suggests ``--slow`` only when that would let this p run.
@@ -92,7 +90,7 @@ def _refusal(args: argparse.Namespace) -> str | None:
     p = args.max_p if args.command == "table" else args.p
     kind = "walk" if getattr(args, "workers", 1) > 1 else "dp"
     if args.command == "verify":
-        kind = _VERIFY_WORK.get(args.mode, args.mode)
+        kind = _VERIFY[args.mode][0]
     elif args.command == "bench" and args.algo == "v1":
         kind = "filter"
     elif args.command == "bench" and kind == "dp":
@@ -140,9 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--p", type=_positive, required=True)
-    p_verify.add_argument(
-        "--mode", required=True,
-        choices=("oracle", "theorem-random", "generators", "oeis", "parity"))
+    p_verify.add_argument("--mode", required=True, choices=_VERIFY)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=_positive, default=5)
     p_verify.add_argument("--slow", action="store_true",
@@ -180,9 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except ExactDivisionError as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a dead pool, a failed fork, MemoryError, a bug
         print(f"internal error: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
@@ -295,19 +288,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify ---------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    runner = {
-        "oracle": _verify_oracle,
-        "theorem-random": _verify_theorem_random,
-        "generators": _verify_generators,
-        "oeis": _verify_oeis,
-        "parity": _verify_parity,
-    }[args.mode]
-    passed, record, lines = runner(args)
-    record = {"command": "verify", "mode": args.mode, "p": args.p,
-              "passed": passed, **record}
-    _emit(args.format, [record], lines)
-    return EXIT_OK if passed else EXIT_FAIL
+# Each check returns whether it passed, its record fields and its lines; the
+# first line is what follows the "PASS|FAIL <mode> p=<p>" head.
 
 
 def _verify_oracle(args):
@@ -316,8 +298,7 @@ def _verify_oracle(args):
     engine_value = const_of_p(args.p).const_p
     oracle_value = brute_force_const(args.p)
     passed = engine_value == oracle_value
-    line = (f"{'PASS' if passed else 'FAIL'} oracle p={args.p}: "
-            f"engine={_underscored(engine_value)} "
+    line = (f": engine={_underscored(engine_value)} "
             f"brute-force={_underscored(oracle_value)}")
     record = {"engine": str(engine_value), "brute_force": str(oracle_value)}
     return passed, record, [line]
@@ -344,8 +325,7 @@ def _verify_theorem_random(args):
                 "extracted": str(result.extracted_const),
             })
     passed = not failures
-    lines = [f"{'PASS' if passed else 'FAIL'} theorem-random p={args.p} "
-             f"seed={args.seed} trials={args.trials} expected={expected}"]
+    lines = [f" seed={args.seed} trials={args.trials} expected={expected}"]
     for failure in failures:
         lines.append(f"  counterexample trial {failure['trial']}: "
                      f"weights={failure['weights']} f={failure['f']} "
@@ -359,8 +339,7 @@ def _verify_generators(args):
     filtered = set(enumerate_filtered(args.p))
     generated = set(enumerate_backtracking(args.p))
     passed = filtered == generated
-    lines = [f"{'PASS' if passed else 'FAIL'} generators p={args.p}: "
-             f"filtered={len(filtered)} backtracking={len(generated)}"]
+    lines = [f": filtered={len(filtered)} backtracking={len(generated)}"]
     extra = sorted(filtered ^ generated)[:5]
     if extra:
         lines.append(f"  first differing permutations: "
@@ -374,8 +353,7 @@ def _verify_oeis(args):
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)
     passed = phi_size == late
-    line = (f"{'PASS' if passed else 'FAIL'} oeis p={args.p}: "
-            f"|Phi_p|={phi_size} late-growing({2 * args.p})={late}")
+    line = f": |Phi_p|={phi_size} late-growing({2 * args.p})={late}"
     record = {"phi_size": phi_size, "late_growing": late}
     return passed, record, [line]
 
@@ -385,11 +363,29 @@ def _verify_parity(args):
     gap = report.even_count - report.odd_count
     expected_gap = 1 if args.p % 2 else -1  # even perms lead at odd p
     passed = gap == expected_gap
-    line = (f"{'PASS' if passed else 'FAIL'} parity p={args.p}: "
-            f"even={_underscored(report.even_count)} "
+    line = (f": even={_underscored(report.even_count)} "
             f"odd={_underscored(report.odd_count)} gap={gap:+d}")
     record = {"even": report.even_count, "odd": report.odd_count, "gap": gap}
     return passed, record, [line]
+
+
+# Each verify mode: its row in _CAPS and its check. The one list of modes.
+_VERIFY = {
+    "oracle": ("oracle", _verify_oracle),
+    "theorem-random": ("theorem-random", _verify_theorem_random),
+    "generators": ("filter", _verify_generators),
+    "oeis": ("stream", _verify_oeis),
+    "parity": ("dp", _verify_parity),
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    passed, record, (rest, *more) = _VERIFY[args.mode][1](args)
+    head = f"{'PASS' if passed else 'FAIL'} {args.mode} p={args.p}{rest}"
+    record = {"command": "verify", "mode": args.mode, "p": args.p,
+              "passed": passed, **record}
+    _emit(args.format, [record], [head, *more])
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # -- bench ----------------------------------------------------------------

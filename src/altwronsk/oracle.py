@@ -19,10 +19,10 @@ about the contributing-set construction or the falling-factorial closed
 form, and the recursion runs over weight indices, not exponent values,
 which is what makes it a genuine cross-check of the fast engine.
 
-The sum costs 2^(2p) derivatives and 2p * 2^(2p-1) products
-(``cost_text``): with the monomial weights, p = 8 takes about 1 s, p = 9
-about 6 s and p = 10 about 23 s. The functions here run any p they are
-given; the command line's cap (``cli._CAPS``) is the one limit on it.
+The sum costs 2^(2p) derivatives and 2p * 2^(2p-1) products: with the
+monomial weights, p = 8 takes about 1 s, p = 9 about 6 s and p = 10 about
+23 s. The functions here run any p they are given; the command line's cap
+(``cli._CAPS``) is the one limit on it.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ def verify_theorem(
     if lhs * ratio.denominator == rhs * ratio.numerator:
         return VerificationRecord(holds=True, extracted_const=ratio)
     return VerificationRecord(holds=False, extracted_const=None)
-
-
-def cost_text(p: int) -> str:
-    """The oracle's work at p, as text: its derivatives and products."""
-    n = 2 * p
-    return f"2^{n} derivatives and {n} * 2^{n - 1} products"
 
 
 def monomial_weights(n: int) -> list[Polynomial]:

@@ -14,9 +14,7 @@ built from exponent-to-coefficient maps, never read back from text.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Union
-
-CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+from typing import Mapping
 
 
 class Polynomial:
@@ -24,16 +22,14 @@ class Polynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: CoeffSource = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        items = coeffs.items() if coeffs else ()
         for exp, c in items:
             if not (isinstance(exp, int) and isinstance(c, int)):
                 raise TypeError(f"non-integer term {c!r}*x^{exp!r}")
             if exp < 0:
                 raise ValueError(f"negative exponent {exp}")
-            acc[exp] = acc.get(exp, 0) + c
-        self._coeffs = {e: c for e, c in acc.items() if c}
+        self._coeffs = {e: c for e, c in items if c}
 
     # -- inspection ------------------------------------------------------
 
@@ -141,8 +137,8 @@ def _normalised(coeffs: dict[int, int]) -> Polynomial:
     >= 0, each with a nonzero coefficient. It is not copied or checked.
 
     The arithmetic above builds its results here, so it skips the public
-    constructor's re-accumulation and ``Mapping`` check. Equality compares
-    the dicts, so a stored zero would break it.
+    constructor's checks and copy. Equality compares the dicts, so a stored
+    zero would break it.
     """
     poly = object.__new__(Polynomial)
     poly._coeffs = coeffs

@@ -14,7 +14,7 @@ import pytest
 
 import altwronsk
 from altwronsk import oracle, parallel
-from altwronsk.cli import main
+from altwronsk.cli import _VERIFY, main
 from altwronsk.engine import const_of_p
 
 
@@ -213,11 +213,8 @@ def test_verify_oeis_p5_runs_without_slow(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "--p", "1000", "--mode", "oracle"),
-     ("verify", "--p", "1000", "--mode", "theorem-random"),
-     ("verify", "--p", "1000", "--mode", "generators"),
-     ("verify", "--p", "1000", "--mode", "generators", "--slow"),
-     ("verify", "--p", "1000", "--mode", "oeis"),
+    [*(("verify", "--p", "1000", "--mode", mode, *slow)
+       for mode in _VERIFY for slow in ((), ("--slow",))),
      ("bench", "--p", "1000", "--algo", "v1"),
      ("bench", "--p", "1000", "--algo", "v2"),
      ("bench", "--p", "1000", "--algo", "v2", "--workers", "2")],
@@ -226,6 +223,16 @@ def test_verify_oeis_p5_runs_without_slow(capsys):
 def test_refusal_at_large_p_is_a_refusal(capsys, argv):
     # Even at p = 1000 the reason is one short line.
     assert len(_refusal(capsys, *argv)) < 200
+
+
+def test_a_refusal_loads_no_oracle():
+    # The oracle modes' refusals word the oracle's cost without loading it.
+    assert _fresh_interpreter(
+        "from altwronsk.cli import main; "
+        "print(*[main(['verify', '--p', '1000', '--mode', mode, '--slow']) "
+        "for mode in ('oracle', 'theorem-random')]); "
+        "print(*[m for m in ('altwronsk.oracle', 'altwronsk.polynomial') "
+        "if m in sys.modules])").splitlines() == ["2 2", ""]
 
 
 def test_verify_theorem_random_slow_extends_cap(capsys):
@@ -556,16 +563,18 @@ def test_missing_subcommand(capsys):
 
 
 def test_internal_consistency_exit_code(capsys, monkeypatch):
+    # A failed exact division is an internal error like any other.
     import altwronsk.cli as cli
     from altwronsk.engine import ExactDivisionError
 
     def induced_failure(*args, **kwargs):
-        raise ExactDivisionError("induced for the exit-code contract")
+        raise ExactDivisionError("induced for the exit-code contract; "
+                                 "this is a bug")
 
     monkeypatch.setattr(cli, "const_of_p", induced_failure)
-    code, _, err = run_cli(capsys, "const", "--p", "2")
-    assert code == 3
-    assert "internal consistency" in err
+    code, out, err = run_cli(capsys, "const", "--p", "2")
+    assert (code, out, err) == (3, "", "internal error: induced for the "
+                                "exit-code contract; this is a bug\n")
 
 
 def test_internal_value_error_exit_code(capsys, monkeypatch):

@@ -8,13 +8,8 @@ from altwronsk.polynomial import ONE, ZERO, Polynomial, monomial
 
 def test_normalisation_drops_zero_coefficients():
     assert Polynomial({3: 0, 1: 2})._coeffs == {1: 2}
-    assert Polynomial([(2, 5), (2, -5)]) == ZERO
     assert not ZERO
     assert ONE
-
-
-def test_duplicate_exponents_are_summed():
-    assert Polynomial([(1, 2), (1, 3)]) == monomial(1, 5)
 
 
 def test_degree_and_leading_coefficient():
