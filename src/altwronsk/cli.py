@@ -20,7 +20,6 @@ for its own command.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 import time
@@ -131,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="summary table for p = 1..max-p")
     p_table.add_argument("--max-p", type=_positive, default=4)
     p_table.add_argument("--which", type=int, choices=(2, 3), default=2,
-                         help="2: counts and constants; 3: growth ratios")
+                         help="human format's columns: 2 counts and constants,"
+                              " 3 growth ratios (jsonl, csv: whole records)")
     p_table.add_argument("--format", choices=FORMATS, default="human")
     p_table.add_argument("--no-progress", action="store_true")
     p_table.set_defaults(handler=cmd_table)
@@ -139,8 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--p", type=_positive, required=True)
     p_verify.add_argument("--mode", required=True, choices=_VERIFY)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_positive, default=5)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="theorem-random only")
+    p_verify.add_argument("--trials", type=_positive, default=5,
+                          help="theorem-random only")
     p_verify.add_argument("--slow", action="store_true",
                           help="allow p beyond the default feasibility cap")
     p_verify.add_argument("--format", choices=FORMATS, default="human")
@@ -152,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--workers", type=_positive, default=1,
         help="1 (default): the contributing-set stream in one process; more: "
-             "the walk, split over up to that many processes")
+             "the walk, split over up to that many processes; examined then "
+             "counts only the placements below the split")
     p_bench.add_argument("--format", choices=FORMATS, default="human")
     p_bench.set_defaults(handler=cmd_bench)
 
@@ -190,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _emit(fmt: str, records: list[dict], human_lines: list[str]) -> None:
     if fmt == "human":
-        for line in human_lines:
-            print(line)
+        print("\n".join(human_lines))
     elif fmt == "jsonl":
         import json
 
@@ -201,12 +203,10 @@ def _emit(fmt: str, records: list[dict], human_lines: list[str]) -> None:
         import csv
         import json
 
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(records[0].keys()))
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(records[0]))
         writer.writeheader()
         writer.writerows({k: json.dumps(v) if isinstance(v, list) else v
                           for k, v in record.items()} for record in records)
-        sys.stdout.write(buffer.getvalue())
 
 
 def _underscored(value: int) -> str:

@@ -12,13 +12,14 @@ derivative-operator term survives: sigma(1) = 1 and every suffix partial sum
 T_k = sum over the last k entries of (value - p) stays non-negative (the
 running exponent of x never dips below zero during the right-to-left operator
 applications). ``enumerate_filtered`` realises the definition by filtering
-all of S_N, for N up to ``FILTER_MAX_N``. ``pruned_suffixes`` is the one
-pruned search of the package: it fills positions right to left and abandons
-any branch whose running sum would go negative. Cut at length p it yields
-the heads of the contributing-set stream (``enumerate_backtracking_signed``),
-which finishes each head from a table keyed by the p - 1 values left, each
-entry filled by the same search over those values; cut at a smaller length
-it yields the subtrees that ``parallel.partition_work`` hands out as tasks.
+all of S_N. It has no cap of its own: ``cli._CAPS`` is the one limit on
+work. ``pruned_suffixes`` is the one pruned search of the package: it fills
+positions right to left and abandons any branch whose running sum would go
+negative. Cut at length p it yields the heads of the contributing-set
+stream (``enumerate_backtracking_signed``), which finishes each head from a
+table keyed by the p - 1 values left, each entry filled by the same search
+over those values; cut at a smaller length it yields the subtrees that
+``parallel.partition_work`` hands out as tasks.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
-
-# enumerate_filtered walks all N! permutations, about 2.5 M a second: 16!
-# alone would take about 100 days, so no larger N can ever finish.
-FILTER_MAX_N = 16
 
 
 def sign(perm: Sequence[int]) -> int:
@@ -50,13 +47,12 @@ def format_permutation(perm: Sequence[int]) -> str:
     return "(" + ",".join(str(v + 1) for v in perm) + ")"
 
 
-def _require_length(perm: Sequence[int], p: int) -> int:
+def _require_length(perm: Sequence[int], p: int) -> None:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = 2 * p
     if len(perm) != n:
         raise ValueError(f"permutation has length {len(perm)}, expected 2p = {n}")
-    return n
 
 
 def suffix_partial_sums(perm: Sequence[int], p: int) -> tuple[int, ...]:
@@ -86,18 +82,13 @@ def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
     """All contributing permutations for N = 2p by filtering S_N.
 
     Reference path: walks every one of the N! permutations in lexicographic
-    order and keeps the contributing ones. Raises ``ValueError`` for N
-    beyond ``FILTER_MAX_N``; the backtracking generator has no such cap.
+    order and keeps the contributing ones, about 2.5 M a second. It runs
+    any p it is given; ``cli._CAPS`` is the one limit on how far the
+    commands take it.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    n = 2 * p
-    if n > FILTER_MAX_N:
-        raise ValueError(
-            f"N = {n} exceeds the exhaustive-filter cap {FILTER_MAX_N}; "
-            "use enumerate_backtracking"
-        )
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(2 * p)):
         if is_contributing(perm, p):
             yield perm
 
@@ -198,7 +189,7 @@ def enumerate_backtracking(p: int) -> Iterator[tuple[int, ...]]:
     """The contributing set for N = 2p, streamed without touching all of S_N.
 
     Emits the same set as ``enumerate_filtered`` (in a different, but
-    deterministic, order) and has no size cap.
+    deterministic, order).
     """
     for perm, _ in enumerate_backtracking_signed(p):
         yield perm

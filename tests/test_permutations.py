@@ -139,20 +139,11 @@ def test_filtered_emits_in_lexicographic_order():
     assert emitted == sorted(emitted)
 
 
-def test_filtered_respects_cap():
-    # N = 16 starts (the identity comes first); N = 18 is refused at once.
-    assert next(enumerate_filtered(8)) == tuple(range(16))
-    with pytest.raises(ValueError, match="N = 18 exceeds"):
-        next(enumerate_filtered(9))
-
-
-def test_filtered_refuses_any_p_past_the_cap_by_name():
-    # (2p)! is never printed: at p = 1000 it has more digits than an int
-    # may print, which would raise in place of the refusal.
-    with pytest.raises(ValueError, match="^N = 2000 exceeds the exhaustive-"
-                                         "filter cap 16; use "
-                                         "enumerate_backtracking$"):
-        next(enumerate_filtered(1000))
+def test_filtered_has_no_cap_of_its_own():
+    # cli._CAPS is the one limit on the filter. The identity comes first,
+    # so the first item returns at once at any p.
+    assert next(enumerate_filtered(9)) == tuple(range(18))
+    assert next(enumerate_filtered(1000)) == tuple(range(2000))
 
 
 def test_backtracking_order_is_deterministic():
