@@ -61,8 +61,8 @@ def _cost(p: int) -> str:
 # memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
 # the one-process stream of the contributing set at 6 (about 1.3 s), the
 # exhaustive filter at 5 (all 3.6 M orderings, about 1.3 s), the oracle at
-# 10 (about 23 s) and one theorem-random trial at 8 (about 35 s). Where
-# --slow lifts a cap, the cap without it stops at a few seconds.
+# 11 (about 51 s and 465 MB) and one theorem-random trial at 8 (about 35 s).
+# Where --slow lifts a cap, the cap without it stops at a few seconds.
 _CAPS = {
     "dp": _ran_up_to("the subset DP", 13,
                      "about 3 min and 1.7 GB, 4x the memory per step"),
@@ -71,7 +71,7 @@ _CAPS = {
                          "about 1.3 s in one process"),
     "filter": _ran_up_to("the exhaustive filter", 5,
                          "all 3,628,800 orderings, about 1.3 s"),
-    "oracle": (8, 10, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
+    "oracle": (8, 11, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
     "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
                                        f"{_cost(p)} per trial"),
 }

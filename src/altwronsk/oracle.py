@@ -20,8 +20,10 @@ form, and the recursion runs over weight indices, not exponent values,
 which is what makes it a genuine cross-check of the fast engine.
 
 The sum costs 2^(2p) derivatives and 2p * 2^(2p-1) products: with the
-monomial weights, p = 8 takes about 1 s, p = 9 about 6 s and p = 10 about
-23 s. The functions here run any p they are given; the command line's cap
+monomial weights, p = 8 takes about 0.5 s, p = 9 about 2.6 s and p = 10
+about 9 s of CPU (``brute_force_const``, medians of 3 runs on a 2-core
+Xeon), and ``verify --p 11 --mode oracle --slow`` about 51 s and 465 MB.
+The functions here run any p they are given; the command line's cap
 (``cli._CAPS``) is the one limit on it.
 """
 
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .engine import ExactDivisionError
-from .polynomial import ONE, ZERO, Polynomial, monomial
+from .polynomial import ONE, ZERO, Polynomial, dot, monomial
 
 
 def alternating_composition(
@@ -50,9 +52,10 @@ def alternating_composition(
 
     where b(j) counts the members of T below j: the inversions that j, in
     front, makes with the rest. ``_alternating_sum`` builds S for every
-    subset, each subset's derivative taken once and pushed to the subsets
-    one index larger, literally ``+-weights[j] * d``: 2^(2p) derivatives
-    and 2p * 2^(2p-1) products in place of one composition per ordering.
+    subset, each subset's derivative taken once and each subset's terms
+    ``+-weights[j] * S(T - {j})^(p)`` summed literally in one pass: 2^(2p)
+    derivatives and 2p * 2^(2p-1) products in place of one composition per
+    ordering.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -65,33 +68,26 @@ def _alternating_sum(start: Polynomial, rows: Sequence[Sequence[Polynomial]],
                      step: Callable[[Polynomial], Polynomial]) -> Polynomial:
     """The sum over weight-index subsets shared by both sides of the theorem.
 
-    With V({}) = ``start``, every subset T pushes to each T + {j}, j not in
-    T, the term (-1)^b * rows[|T|][j] * step(V(T)), where b counts the
-    members of T below j; the result is V of the full index set. The
-    subsets are built one size at a time. A subset whose stepped value is
-    zero pushes nothing, and neither does a zero entry: a zero factor
-    makes a zero term.
+    With V({}) = ``start``, V(T) for a nonempty T is the sum, over its
+    members j, of (-1)^b * rows[|T| - 1][j] * step(V(T - {j})), where b
+    counts the members of T below j; the result is V of the full index set.
+    The subsets are built one size at a time, each by one ``dot`` over its
+    signed terms, after the previous size's values are stepped and dropped.
+    A subset whose stepped value is zero gives no term, and neither does a
+    zero entry: a zero factor makes a zero term.
     """
     layer = {0: start}
     for row in rows:
-        pushed = {}
-        for subset, value in layer.items():
-            d = step(value)
-            if not d:
-                continue
-            odd = 0  # parity of the members of subset below j
-            for j, entry in enumerate(row):
-                bit = 1 << j
-                if subset & bit:
-                    odd ^= 1
-                    continue
-                if not entry:
-                    continue
-                term = (-entry if odd else entry) * d
-                grown = subset | bit
-                sofar = pushed.get(grown)
-                pushed[grown] = term if sofar is None else sofar + term
-        layer = pushed
+        below = {s: d for s, v in layer.items() if (d := step(v))}
+        del layer
+        signed = (row, [-entry for entry in row])
+        bits = [(j, 1 << j) for j, entry in enumerate(row) if entry]
+        grown = {s | bit for s in below for _, bit in bits if not s & bit}
+        # The sign of j's term in g is the parity of g's members below j.
+        layer = {g: dot((signed[(g & bit - 1).bit_count() & 1][j],
+                         below[g ^ bit])
+                        for j, bit in bits if g & bit and g ^ bit in below)
+                 for g in grown}
     return layer.get((1 << len(rows)) - 1, ZERO)
 
 

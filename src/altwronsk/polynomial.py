@@ -14,7 +14,7 @@ built from exponent-to-coefficient maps, never read back from text.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class Polynomial:
@@ -88,12 +88,7 @@ class Polynomial:
             return _normalised({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return _normalised({e: c for e, c in acc.items() if c})
+        return dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -143,6 +138,20 @@ def _normalised(coeffs: dict[int, int]) -> Polynomial:
     poly = object.__new__(Polynomial)
     poly._coeffs = coeffs
     return poly
+
+
+def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of ``a * b`` over the pairs (a, b): every product's terms are
+    added into one exponent -> coefficient map, and its zero coefficients
+    are dropped once, at the end. The one product loop: ``*`` calls it too.
+    """
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        for e1, c1 in a._coeffs.items():
+            for e2, c2 in b._coeffs.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return _normalised({e: c for e, c in acc.items() if c})
 
 
 def monomial(exponent: int, coefficient: int = 1) -> Polynomial:

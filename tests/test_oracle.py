@@ -86,56 +86,18 @@ def test_subset_sum_matches_literal_reference_on_monomials():
     assert got == Polynomial({0: 586656 * 24 * wronskian_of_monomials(8)})
 
 
-class _Orderings:
-    """Stands in for a polynomial: an element of the free algebra of the
-    weights, a map from ordering word (weight indices, outermost first) to
-    coefficient. ``derivative`` is the identity and a (signed) weight's
-    product puts its index in front of every word, so each composition
-    keeps its ordering through the oracle's sums."""
-
-    def __init__(self, words):
-        self.words = {word: c for word, c in words.items() if c}
-
-    def __bool__(self):
-        return bool(self.words)
-
-    def __add__(self, other):
-        words = dict(self.words)
-        for word, c in other.words.items():
-            words[word] = words.get(word, 0) + c
-        return _Orderings(words)
-
-    def __neg__(self):
-        return _Orderings({word: -c for word, c in self.words.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def derivative(self, order):
-        return self
-
-
-class _Weight:
-    def __init__(self, index, sign=1):
-        self.index, self.sign = index, sign
-
-    def __neg__(self):
-        return _Weight(self.index, -self.sign)
-
-    def __mul__(self, other):
-        return _Orderings({(self.index,) + word: self.sign * c
-                           for word, c in other.words.items()})
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_carried_parity_is_permutation_sign(p):
-    # Every ordering appears exactly once, with its sign.
+    # Row k's entry j is x^(2^(k*n + j)), so a term's exponent spells out
+    # the order its indices were added in, innermost first. Every ordering
+    # appears exactly once, with the sign of the order outermost first.
     n = 2 * p
-    got = alternating_composition(p, [_Weight(j) for j in range(n)],
-                                  _Orderings({(): 1}))
-    assert len(got.words) == math.factorial(n)
+    rows = [[monomial(1 << (k * n + j)) for j in range(n)] for k in range(n)]
+    got = dict(oracle._alternating_sum(ONE, rows, lambda v: v).terms())
+    assert len(got) == math.factorial(n)
     for order in itertools.permutations(range(n)):
-        assert got.words[order] == sign(order)
+        exponent = sum(1 << (k * n + j) for k, j in enumerate(order))
+        assert got[exponent] == sign(order[::-1])
 
 
 def test_alternating_composition_validates_arity():

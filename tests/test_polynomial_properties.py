@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from altwronsk.polynomial import ONE, ZERO, Polynomial  # noqa: E402
+from altwronsk.polynomial import ONE, ZERO, Polynomial, dot  # noqa: E402
 
 polynomials = st.dictionaries(
     st.integers(0, 8), st.integers(-30, 30), max_size=6).map(Polynomial)
@@ -48,3 +48,19 @@ def test_no_zero_coefficient_is_stored(a, b, s, k):
     for q in (a, a + b, a - b, -a, a * b, a * s, s * a, a.derivative(k)):
         assert_canonical(q)
 
+
+@given(st.lists(st.tuples(polynomials, polynomials), max_size=5))
+def test_dot_is_the_sum_of_products(pairs):
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b
+    got = dot(pairs)
+    assert got == total
+    assert_canonical(got)
+
+
+@given(polynomials, polynomials)
+def test_dot_of_nothing_or_of_cancelling_pairs_is_zero(a, b):
+    assert dot([]) == ZERO
+    assert dot([(a, b), (-a, b)]) == ZERO
+    assert dot([(a, b), (b, -a)]) == ZERO
