@@ -7,10 +7,12 @@ any other exception that no argument caused), 130 interrupted.
 
 Every command's work grows too fast with p. One table, ``_CAPS``, holds the
 two caps of each kind of work, without and with ``--slow``: one row per
-kind, so commands that run the same work share its caps. ``main`` checks p
-against the row of the work a command runs before any handler starts;
-past them it ends with one ``refusing: ...`` line and exit 2. Each verify
-mode is one row of ``_VERIFY``: its ``_CAPS`` row and its check.
+kind, so commands that run the same work share its caps. Each subcommand
+names its work: its ``work`` default is a function of the parsed arguments
+that returns its ``_CAPS`` row, which ``main`` checks p against before any
+handler starts and ``bench`` also branches on. Past the caps a command
+ends with one ``refusing: ...`` line and exit 2. Each verify mode is one
+row of ``_VERIFY``: its ``_CAPS`` row and its check.
 
 A module that only some commands use (the oracle, ``random``, ``json``,
 ``csv``) is imported where that command runs, so a cold process pays only
@@ -61,7 +63,7 @@ def _cost(p: int) -> str:
 # memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
 # the one-process stream of the contributing set at 6 (about 1.3 s), the
 # exhaustive filter at 5 (all 3.6 M orderings, about 1.3 s), the oracle at
-# 11 (about 51 s and 465 MB) and one theorem-random trial at 8 (about 35 s).
+# 12 (245 s and 1,785 MB) and one theorem-random trial at 8 (about 35 s).
 # Where --slow lifts a cap, the cap without it stops at a few seconds.
 _CAPS = {
     "dp": _ran_up_to("the subset DP", 13,
@@ -71,7 +73,7 @@ _CAPS = {
                          "about 1.3 s in one process"),
     "filter": _ran_up_to("the exhaustive filter", 5,
                          "all 3,628,800 orderings, about 1.3 s"),
-    "oracle": (8, 11, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
+    "oracle": (8, 12, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
     "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
                                        f"{_cost(p)} per trial"),
 }
@@ -80,21 +82,13 @@ _CAPS = {
 def _refusal(args: argparse.Namespace) -> str | None:
     """Why the command declines its p, or None when p is within its cap.
 
-    The row is that of the work the command runs: ``table`` the DP, checked
-    on ``--max-p``; ``verify`` its mode's row in ``_VERIFY``; ``bench``
-    the filter for v1, else the stream with one worker or the walk with
-    more; ``const`` the walk above one worker, else the DP. The reason
-    suggests ``--slow`` only when that would let this p run.
+    The row is ``args.work(args)``, the ``_CAPS`` row that each subcommand
+    names for the work its arguments ask for; ``table`` is checked on
+    ``--max-p``. The reason suggests ``--slow`` only when that would let
+    this p run.
     """
     p = args.max_p if args.command == "table" else args.p
-    kind = "walk" if getattr(args, "workers", 1) > 1 else "dp"
-    if args.command == "verify":
-        kind = _VERIFY[args.mode][0]
-    elif args.command == "bench" and args.algo == "v1":
-        kind = "filter"
-    elif args.command == "bench" and kind == "dp":
-        kind = "stream"
-    cap, slow_cap, reason = _CAPS[kind]
+    cap, slow_cap, reason = _CAPS[args.work(args)]
     if p <= cap or (p <= slow_cap and getattr(args, "slow", False)):
         return None
     return reason(p) + (" (pass --slow to override)" if p <= slow_cap else "")
@@ -125,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--format", choices=FORMATS, default="human")
     p_const.add_argument("--no-progress", action="store_true",
                          help="suppress progress lines on stderr")
-    p_const.set_defaults(handler=cmd_const)
+    p_const.set_defaults(handler=cmd_const,
+                         work=lambda a: "walk" if a.workers > 1 else "dp")
 
     p_table = sub.add_parser("table", help="summary table for p = 1..max-p")
     p_table.add_argument("--max-p", type=_positive, default=4)
@@ -134,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                               " 3 growth ratios (jsonl, csv: whole records)")
     p_table.add_argument("--format", choices=FORMATS, default="human")
     p_table.add_argument("--no-progress", action="store_true")
-    p_table.set_defaults(handler=cmd_table)
+    p_table.set_defaults(handler=cmd_table, work=lambda a: "dp")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--p", type=_positive, required=True)
@@ -146,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--slow", action="store_true",
                           help="allow p beyond the default feasibility cap")
     p_verify.add_argument("--format", choices=FORMATS, default="human")
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler=cmd_verify,
+                          work=lambda a: _VERIFY[a.mode][0])
 
     p_bench = sub.add_parser("bench", help="time one generator")
     p_bench.add_argument("--p", type=_positive, required=True)
@@ -157,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
              "the walk, split over up to that many processes; examined then "
              "counts only the placements below the split")
     p_bench.add_argument("--format", choices=FORMATS, default="human")
-    p_bench.set_defaults(handler=cmd_bench)
+    p_bench.set_defaults(handler=cmd_bench, work=lambda a: (
+        "filter" if a.algo == "v1" else "stream" if a.workers == 1 else "walk"))
 
     return parser
 
@@ -394,10 +391,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     tasks = workers = 1  # the filter and the stream run in this process
     started = time.perf_counter()
-    if args.algo == "v1":
+    kind = args.work(args)
+    if kind == "filter":
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
-    elif args.workers == 1:
+    elif kind == "stream":
         counter = [0]
         emitted = sum(1 for _ in enumerate_backtracking_signed(args.p, counter))
         examined = counter[0]

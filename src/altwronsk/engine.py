@@ -208,34 +208,24 @@ def render_ratio(value: Fraction) -> str:
     """Display rendering: exact integers verbatim, otherwise short decimals.
 
     Values below 1 get three decimal places, values up to 10^5 two, both
-    round-half-even with trailing zeros stripped; anything larger is shown
-    as scientific notation with a single mantissa decimal.
+    with trailing zeros stripped; anything larger is shown as scientific
+    notation with a single mantissa decimal. Either way one step rounds:
+    the magnitude times 10^places, round-half-even, whose digits then get
+    their decimal point (and, past 10^5, their exponent).
     """
     if value.denominator == 1:
         return str(value.numerator)
     magnitude = abs(value)
-    if magnitude >= 100_000:
-        return _render_scientific(value)
-    places = 3 if magnitude < 1 else 2
-    return _render_fixed(value, places)
-
-
-def _render_fixed(value: Fraction, places: int) -> str:
-    quantum = round(value, places)  # Fraction; round-half-even
-    scaled = quantum.numerator * 10**places // quantum.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = f"{abs(scaled):0{places + 1}d}"
-    whole, frac = digits[:-places], digits[-places:]
-    frac = frac.rstrip("0") or "0"
-    return f"{sign}{whole}.{frac}"
-
-
-def _render_scientific(value: Fraction) -> str:
-    magnitude = abs(value)
-    exponent = len(str(magnitude.numerator // magnitude.denominator)) - 1
-    mantissa_tenths = round(magnitude / Fraction(10**(exponent - 1)))
-    if mantissa_tenths >= 100:
-        mantissa_tenths //= 10
-        exponent += 1
-    sign = "-" if value < 0 else ""
-    return f"{sign}{mantissa_tenths // 10}.{mantissa_tenths % 10}e{exponent}"
+    if magnitude < 100_000:
+        places = 3 if magnitude < 1 else 2
+    else:  # two significant digits
+        places = 2 - len(str(int(magnitude)))
+    scaled = round(magnitude * Fraction(10) ** places)
+    sign = "-" if value < 0 and scaled else ""
+    digits = str(scaled).zfill(places + 1)
+    if magnitude < 100_000:
+        point, suffix = len(digits) - places, ""
+    else:  # a mantissa that rounds to 10.0 carries into the exponent
+        point, suffix = 1, f"e{len(digits) - 1 - places}"
+    frac = digits[point:].rstrip("0") or "0"
+    return f"{sign}{digits[:point]}.{frac}{suffix}"

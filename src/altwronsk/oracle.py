@@ -22,7 +22,8 @@ which is what makes it a genuine cross-check of the fast engine.
 The sum costs 2^(2p) derivatives and 2p * 2^(2p-1) products: with the
 monomial weights, p = 8 takes about 0.5 s, p = 9 about 2.6 s and p = 10
 about 9 s of CPU (``brute_force_const``, medians of 3 runs on a 2-core
-Xeon), and ``verify --p 11 --mode oracle --slow`` about 51 s and 465 MB.
+Xeon); ``verify --p 11 --mode oracle --slow`` takes about 51 s and 465 MB,
+and at p = 12 245 s and 1,785 MB.
 The functions here run any p they are given; the command line's cap
 (``cli._CAPS``) is the one limit on it.
 """

@@ -208,8 +208,6 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
     ``progress`` set, emits "done/total tasks, terms terms" lines to stderr
     at most once per second.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = partition_work(p, depth if depth is not None

@@ -64,18 +64,20 @@ def suffix_partial_sums(perm: Sequence[int], p: int) -> tuple[int, ...]:
     ``engine.term_coefficient``).
     """
     _require_length(perm, p)
-    sums = []
-    acc = 0
-    for v in perm[:0:-1]:  # last entry first, down to position 2
-        acc += v - p
-        sums.append(acc)
-    return tuple(sums)
+    return tuple(itertools.accumulate(v - p for v in perm[:0:-1]))
 
 
 def is_contributing(perm: Sequence[int], p: int) -> bool:
     """True iff the permutation's operator term survives (is in Phi_p)."""
     _require_length(perm, p)
-    return perm[0] == 0 and min(suffix_partial_sums(perm, p)) >= 0
+    return _contributes(perm, p)
+
+
+def _contributes(perm: Sequence[int], p: int) -> bool:
+    # is_contributing for a permutation already known to have length 2p:
+    # sigma(1) = 1 and no suffix_partial_sums entry below 0.
+    return perm[0] == 0 and min(
+        itertools.accumulate(v - p for v in perm[:0:-1])) >= 0
 
 
 def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
@@ -89,7 +91,7 @@ def enumerate_filtered(p: int) -> Iterator[tuple[int, ...]]:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     for perm in itertools.permutations(range(2 * p)):
-        if is_contributing(perm, p):
+        if _contributes(perm, p):
             yield perm
 
 

@@ -244,7 +244,7 @@ def test_verify_theorem_random_slow_extends_cap(capsys):
 
 # The largest p each capped verify mode runs with --slow, and the function
 # in cli where its work starts.
-SLOW_CAPS = [("oracle", 11, "const_of_p"), ("theorem-random", 8, "const_of_p"),
+SLOW_CAPS = [("oracle", 12, "const_of_p"), ("theorem-random", 8, "const_of_p"),
              ("generators", 5, "enumerate_filtered"),
              ("oeis", 6, "enumerate_backtracking")]
 

@@ -46,7 +46,9 @@ REFERENCE_ROWS = [
 
 # p, phi, even, odd, const - rows 11, 12 and 13, each pinned from one run of
 # the subset DP (about 5 s, 23 s and 161 s). Tier-1 checks only their
-# arithmetic; a CI step recomputes const(11).
+# arithmetic. A CI step recomputes const(11), and another matches it with
+# the literal oracle; the oracle matched const(12) in a one-off run
+# (245 s). Only row 13 has no derivation but the DP.
 DP_ONLY_ROWS = [
     (11, 2_792_467_448_952_670_671, 1_396_233_724_476_335_336,
      1_396_233_724_476_335_335,
@@ -247,6 +249,20 @@ def test_render_ratio_half_even():
     assert render_ratio(Fraction(25, 10000)) == "0.002"  # tie rounds to even
     assert render_ratio(Fraction(35, 10000)) == "0.004"  # tie rounds to even
     assert render_ratio(Fraction(-1, 12)) == "-0.083"
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(-1, 10000), "0.0"),  # rounds to zero: no sign
+    (Fraction(99_999_999, 1000), "100000.0"),  # fixed, rounded up to 10^5
+    (Fraction(1_999_999, 2), "1.0e6"),  # mantissa 10.0 moves to the exponent
+    (Fraction(-1_999_999, 2), "-1.0e6"),
+    # Past 10^5 every tie of the mantissa's last place is an integer, which
+    # prints verbatim; the values half a unit either side round away from it.
+    (Fraction(249_999, 2), "1.2e5"),
+    (Fraction(250_001, 2), "1.3e5"),
+])
+def test_render_ratio_edges(value, text):
+    assert render_ratio(value) == text
 
 
 def test_report_record_round_trip():
