@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _OWNER = {
     "ConstReport": "engine",
     "ExactDivisionError": "engine",
-    "PartialResult": "parallel",
+    "PartialResult": "engine",
     "Polynomial": "polynomial",
     "VerificationRecord": "oracle",
     "alternating_composition": "oracle",

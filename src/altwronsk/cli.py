@@ -14,9 +14,10 @@ handler starts and ``bench`` also branches on. Past the caps a command
 ends with one ``refusing: ...`` line and exit 2. Each verify mode is one
 row of ``_VERIFY``: its ``_CAPS`` row and its check.
 
-A module that only some commands use (the oracle, ``random``, ``json``,
-``csv``) is imported where that command runs, so a cold process pays only
-for its own command.
+A module that only some commands use (the walk in ``parallel``, the
+contributing-set stream and filter in ``permutations``, the oracle,
+``random``, ``json``, ``csv``) is imported where that command runs, so a
+cold process pays only for its own command.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ import math
 import sys
 import time
 
-from . import parallel
 from .engine import ConstReport, const_of_p, render_ratio
-from .permutations import (
-    count_late_growing,
-    enumerate_backtracking,
-    enumerate_backtracking_signed,
-    enumerate_filtered,
-    format_permutation,
-)
 
 FORMATS = ("human", "jsonl", "csv")
 
@@ -333,6 +326,9 @@ def _verify_theorem_random(args):
 
 
 def _verify_generators(args):
+    from .permutations import (enumerate_backtracking, enumerate_filtered,
+                               format_permutation)
+
     filtered = set(enumerate_filtered(args.p))
     generated = set(enumerate_backtracking(args.p))
     passed = filtered == generated
@@ -347,6 +343,8 @@ def _verify_generators(args):
 
 
 def _verify_oeis(args):
+    from .permutations import count_late_growing, enumerate_backtracking
+
     phi_size = sum(1 for _ in enumerate_backtracking(args.p))
     late = count_late_growing(2 * args.p)
     passed = phi_size == late
@@ -393,13 +391,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     kind = args.work(args)
     if kind == "filter":
+        from .permutations import enumerate_filtered
+
         emitted = sum(1 for _ in enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
     elif kind == "stream":
+        from .permutations import enumerate_backtracking_signed
+
         counter = [0]
         emitted = sum(1 for _ in enumerate_backtracking_signed(args.p, counter))
         examined = counter[0]
     else:
+        from . import parallel
+
         work = parallel.partition_work(
             args.p, parallel.default_depth(args.p, args.workers))
         pairs = list(parallel.run_tasks(work, args.workers))

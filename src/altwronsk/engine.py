@@ -12,7 +12,9 @@ depend only on which values are already placed, not on their order, so the
 sum over orderings collapses layer by layer (one layer per set size). The
 pruned walk of ``parallel.compute`` evaluates the same sum permutation by
 permutation and stays available as the cross-check: ``const_of_p`` runs it
-when ``workers > 1`` or a split ``depth`` is given. Everything here is
+when ``workers > 1`` or a split ``depth`` is given, and only then imports
+``parallel``. Both paths share what this module owns: ``PartialResult``,
+the falling-factorial table and the progress interval. Everything here is
 arbitrary-precision integer arithmetic; a division that leaves a remainder
 is an implementation bug, never valid data, and raises
 ``ExactDivisionError``.
@@ -27,8 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from . import parallel
-from .permutations import suffix_partial_sums
+PROGRESS_INTERVAL_S = 1.0
 
 
 class ExactDivisionError(ArithmeticError):
@@ -44,6 +45,8 @@ def term_coefficient(perm: Sequence[int], p: int) -> int:
     contributing permutations, so all sign variation in the signed sum
     comes from permutation signs alone.
     """
+    from .permutations import suffix_partial_sums
+
     sums = suffix_partial_sums(perm, p)
     if min(sums) < 0:
         return 0
@@ -114,7 +117,35 @@ def _format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def subset_dp(p: int, progress: bool = False) -> parallel.PartialResult:
+class PartialResult(NamedTuple):
+    """Exact sum over a set of permutations; addition is componentwise."""
+
+    signed_sum: int
+    even_count: int
+    odd_count: int
+
+    @property
+    def terms_evaluated(self) -> int:
+        """The permutations summed: |Phi_p| for the whole contributing set."""
+        return self.even_count + self.odd_count
+
+    def __add__(self, other: PartialResult) -> PartialResult:
+        if not isinstance(other, PartialResult):
+            return NotImplemented
+        return PartialResult(self.signed_sum + other.signed_sum,
+                             self.even_count + other.even_count,
+                             self.odd_count + other.odd_count)
+
+
+@lru_cache(maxsize=None)
+def _falling_factorials(p: int) -> tuple[int, ...]:
+    # fall[e] = e(e-1)...(e-p+1); the running sum never exceeds p(p-1)/2,
+    # so exponents e = sum + p stay within p(p+1)/2.
+    top = p * (p + 1) // 2
+    return tuple(math.perm(e, p) for e in range(top + 1))
+
+
+def subset_dp(p: int, progress: bool = False) -> PartialResult:
     """The contributing-set sum by a DP over the sets of placed values.
 
     Returns the same ``PartialResult`` as ``parallel.compute(p)``. Values
@@ -130,11 +161,11 @@ def subset_dp(p: int, progress: bool = False) -> parallel.PartialResult:
     adding its smallest value to the rest, whose t is never negative.
 
     With ``progress`` set, prints "layer k/2p-1, S states" to stderr at
-    most once per ``parallel.PROGRESS_INTERVAL_S``.
+    most once per ``PROGRESS_INTERVAL_S``.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    fall = parallel._falling_factorials(p)
+    fall = _falling_factorials(p)
     n = 2 * p
     layer = {0: (0, 1, 1, 1)}
     last_report = time.monotonic()
@@ -165,12 +196,12 @@ def subset_dp(p: int, progress: bool = False) -> parallel.PartialResult:
                 layer[target] = (t2, weight * fall[t2 + p], signed, count)
                 v += 1
         now = time.monotonic()
-        if progress and now - last_report >= parallel.PROGRESS_INTERVAL_S:
+        if progress and now - last_report >= PROGRESS_INTERVAL_S:
             last_report = now
             print(f"layer {k}/{n - 1}, {len(layer)} states", file=sys.stderr)
     ((_, weight, signed, count),) = layer.values()
     even = (count + signed) // 2
-    return parallel.PartialResult(weight, even, count - even)
+    return PartialResult(weight, even, count - even)
 
 
 def const_of_p(p: int, workers: int = 1, depth: int | None = None,
@@ -184,6 +215,8 @@ def const_of_p(p: int, workers: int = 1, depth: int | None = None,
     bit-identical for both paths and every worker count and split depth.
     """
     if workers != 1 or depth is not None:
+        from . import parallel
+
         part = parallel.compute(p, workers=workers, depth=depth,
                                 progress=progress)
     else:

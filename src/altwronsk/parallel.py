@@ -12,7 +12,9 @@ the one place a process pool runs. A ``PartialResult`` holds the signed sum
 and the counts of even and odd permutations, whose total is the number of
 terms. Partial results form a commutative monoid under componentwise
 addition, so any schedule, worker count or split depth reduces to the
-identical exact total.
+identical exact total. ``engine`` owns ``PartialResult``, the
+falling-factorial table and ``PROGRESS_INTERVAL_S``, which the subset DP
+shares; this module imports them from there.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import math
 import os
 import sys
 import time
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
+from . import engine
+from .engine import PartialResult, _falling_factorials
 from .permutations import pruned_suffixes
-
-PROGRESS_INTERVAL_S = 1.0
 
 
 class SubtreeTask(NamedTuple):
@@ -46,35 +47,7 @@ class SubtreeTask(NamedTuple):
     product: int
 
 
-class PartialResult(NamedTuple):
-    """Exact accumulation over one subtree; addition is componentwise."""
-
-    signed_sum: int
-    even_count: int
-    odd_count: int
-
-    @property
-    def terms_evaluated(self) -> int:
-        """The permutations summed: |Phi_p| for the whole contributing set."""
-        return self.even_count + self.odd_count
-
-    def __add__(self, other: PartialResult) -> PartialResult:
-        if not isinstance(other, PartialResult):
-            return NotImplemented
-        return PartialResult(self.signed_sum + other.signed_sum,
-                             self.even_count + other.even_count,
-                             self.odd_count + other.odd_count)
-
-
 ZERO_RESULT = PartialResult(0, 0, 0)
-
-
-@lru_cache(maxsize=None)
-def _falling_factorials(p: int) -> tuple[int, ...]:
-    # fall[e] = e(e-1)...(e-p+1); the running sum never exceeds p(p-1)/2,
-    # so exponents e = sum + p stay within p(p+1)/2.
-    top = p * (p + 1) // 2
-    return tuple(math.perm(e, p) for e in range(top + 1))
 
 
 def partition_work(p: int, depth: int) -> list[SubtreeTask]:
@@ -206,7 +179,7 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
     ``default_depth(p, workers)``), one process or a pool; the result is
     identical for every worker count and split depth. With
     ``progress`` set, emits "done/total tasks, terms terms" lines to stderr
-    at most once per second.
+    at most once per ``engine.PROGRESS_INTERVAL_S``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -217,7 +190,7 @@ def compute(p: int, workers: int = 1, depth: int | None = None,
     for done, (part, _) in enumerate(run_tasks(tasks, workers), start=1):
         total = total + part
         now = time.monotonic()
-        if progress and now - last_report >= PROGRESS_INTERVAL_S:
+        if progress and now - last_report >= engine.PROGRESS_INTERVAL_S:
             last_report = now
             print(f"{done}/{len(tasks)} tasks, "
                   f"{total.terms_evaluated} terms", file=sys.stderr)

@@ -13,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import altwronsk
-from altwronsk import oracle, parallel
+from altwronsk import cli, oracle, parallel, permutations
 from altwronsk.cli import _VERIFY, main
 from altwronsk.engine import const_of_p
 
@@ -243,7 +243,7 @@ def test_verify_theorem_random_slow_extends_cap(capsys):
 
 
 # The largest p each capped verify mode runs with --slow, and the function
-# in cli where its work starts.
+# where its work starts.
 SLOW_CAPS = [("oracle", 12, "const_of_p"), ("theorem-random", 8, "const_of_p"),
              ("generators", 5, "enumerate_filtered"),
              ("oeis", 6, "enumerate_backtracking")]
@@ -253,8 +253,14 @@ def _work_starts(monkeypatch, name):
     def started(*args, **kwargs):
         raise ValueError("work started")
 
-    # A dotted name reaches through cli, e.g. "parallel.partition_work".
-    monkeypatch.setattr(f"altwronsk.cli.{name}", started)
+    # A name that cli imports when it loads (const_of_p) is patched in cli.
+    # cli imports the walk and the stream only where their work runs, so
+    # those names are patched in the module that defines them; a dotted
+    # name such as "parallel.partition_work" names that module.
+    if "." not in name:
+        owner = "cli" if hasattr(cli, name) else altwronsk._OWNER[name]
+        name = f"{owner}.{name}"
+    monkeypatch.setattr(f"altwronsk.{name}", started)
 
 
 @pytest.mark.parametrize("mode, cap, work", SLOW_CAPS)
@@ -330,7 +336,7 @@ def test_bench_v2_refuses_past_its_cap(capsys, monkeypatch, workers, cap,
 
 
 # Commands that run the same kind of work, by their row in cli._CAPS, and
-# the function in cli where each one's work starts.
+# the function where each one's work starts.
 SAME_WORK = [
     ("dp", "const --p {p}", "const_of_p"),
     ("dp", "table --max-p {p}", "const_of_p"),
@@ -359,10 +365,8 @@ def test_the_same_work_has_the_same_cap(capsys, monkeypatch, kind, command,
 
 def test_verify_generators_failure_names_permutations_one_based(
         capsys, monkeypatch):
-    import altwronsk.cli as cli
-
-    stream = cli.enumerate_backtracking
-    monkeypatch.setattr(cli, "enumerate_backtracking",
+    stream = permutations.enumerate_backtracking
+    monkeypatch.setattr(permutations, "enumerate_backtracking",
                         lambda p: list(stream(p))[1:])
     code, out, _ = run_cli(capsys, "verify", "--p", "2", "--mode",
                            "generators")
@@ -428,11 +432,35 @@ def test_cli_import_leaves_the_pool_out():
 
 
 def test_cli_import_leaves_out_what_only_some_commands_run():
-    # The oracle modes of verify load the oracle side; jsonl and csv output
+    # The oracle modes of verify load the oracle side; the walk and the
+    # stream load only for the commands that run them; jsonl and csv output
     # load their own encoders; no record needs dataclasses (and inspect).
     assert _loaded_by_cli_import(
         ["dataclasses", "inspect", "json", "csv", "altwronsk.oracle",
-         "altwronsk.polynomial"]) == []
+         "altwronsk.polynomial", "altwronsk.parallel",
+         "altwronsk.permutations"]) == []
+
+
+def test_the_dp_and_the_oracle_run_without_the_walk_or_the_stream():
+    # const, table and verify --mode parity run the subset DP alone, and
+    # the oracle modes compare against it; none loads parallel or
+    # permutations.
+    commands = ["const --p 3 --format jsonl", "table --max-p 3",
+                "verify --p 3 --mode parity", "verify --p 2 --mode oracle",
+                "verify --p 2 --mode theorem-random --trials 1"]
+    assert _fresh_interpreter(
+        "from altwronsk.cli import main; "
+        f"codes = [main(argv.split()) for argv in {commands!r}]; "
+        "print(*codes); "
+        "print(*[m for m in ('altwronsk.parallel', 'altwronsk.permutations') "
+        "if m in sys.modules])").splitlines()[-2:] == ["0 0 0 0 0", ""]
+
+
+def test_partial_result_resolves_without_the_walk():
+    # The DP's result type is the engine's, so naming it loads no walk.
+    assert _fresh_interpreter(
+        "import altwronsk; print(altwronsk.PartialResult.__module__, "
+        "'altwronsk.parallel' in sys.modules)") == "altwronsk.engine False\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from altwronsk import parallel
+from altwronsk import engine, parallel
 from altwronsk.engine import (
     const_of_p,
     ratios,
@@ -46,9 +46,9 @@ REFERENCE_ROWS = [
 
 # p, phi, even, odd, const - rows 11, 12 and 13, each pinned from one run of
 # the subset DP (about 5 s, 23 s and 161 s). Tier-1 checks only their
-# arithmetic. A CI step recomputes const(11), and another matches it with
-# the literal oracle; the oracle matched const(12) in a one-off run
-# (245 s). Only row 13 has no derivation but the DP.
+# arithmetic. A CI step recomputes every field of row 11, and another
+# matches const(11) with the literal oracle; the oracle matched const(12)
+# in a one-off run (245 s). Only row 13 has no derivation but the DP.
 DP_ONLY_ROWS = [
     (11, 2_792_467_448_952_670_671, 1_396_233_724_476_335_336,
      1_396_233_724_476_335_335,
@@ -195,7 +195,7 @@ def test_subset_dp_matches_walk(p):
 
 
 def test_subset_dp_progress_goes_to_stderr(capsys, monkeypatch):
-    monkeypatch.setattr(parallel, "PROGRESS_INTERVAL_S", 0.0)
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL_S", 0.0)
     subset_dp(3, progress=True)
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from altwronsk import parallel
+from altwronsk import engine, parallel
 from altwronsk.parallel import (
     ZERO_RESULT,
     PartialResult,
@@ -176,7 +176,7 @@ def test_compute_matches_across_workers():
 
 
 def test_compute_progress_goes_to_stderr_only(capsys, monkeypatch):
-    monkeypatch.setattr(parallel, "PROGRESS_INTERVAL_S", 0)
+    monkeypatch.setattr(engine, "PROGRESS_INTERVAL_S", 0)
     assert compute(4, workers=2, progress=True).terms_evaluated == 1001
     captured = capsys.readouterr()
     assert captured.out == ""
