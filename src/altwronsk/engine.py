@@ -155,10 +155,14 @@ def subset_dp(p: int, progress: bool = False) -> PartialResult:
     fall[t + v] depends only on the new set, and it flips the sign iff an
     odd number of placed values lie below ``v``. Each layer maps a set of
     k values to (t, signed weight, signed count, count) summed over all
-    allowed orderings of it, and is built by pulling from the layer below:
-    a set's orderings end in one of its values ``v`` with v <= t + p (so
-    that the set without ``v`` had t >= 0). Each set is generated once, by
-    adding its smallest value to the rest, whose t is never negative.
+    allowed orderings of it, and is built by pulling from the layer below.
+    Each set is generated once, by adding its smallest value to the rest,
+    whose t is never negative: the values added to ``mask`` run from
+    max(1, p - t), the least that keeps the new t >= 0, to one below the
+    lowest member of ``mask`` (to 2p - 1 for the empty set). A set's
+    orderings end in one of its members u <= t + p, t being the set's own
+    sum (so that the set without u had t >= 0), and the pull loop runs
+    over exactly those members.
 
     With ``progress`` set, prints "layer k/2p-1, S states" to stderr at
     most once per ``PROGRESS_INTERVAL_S``.
@@ -172,18 +176,14 @@ def subset_dp(p: int, progress: bool = False) -> PartialResult:
     for k in range(1, n):
         below, layer = layer, {}
         for mask, (t, _, _, _) in below.items():
-            smallest = (mask & -mask) or 1 << n
-            v = max(1, p - t)
-            while 1 << v < smallest:
+            top = (mask & -mask).bit_length() - 1 if mask else n
+            for v in range(max(1, p - t), top):
                 target = mask | 1 << v
                 t2 = t + v - p
-                limit = 1 << (t2 + p + 1)
                 weight = signed = count = 0
-                rest = target
+                rest = target & ((2 << (t2 + p)) - 1)
                 while rest:
                     bit = rest & -rest
-                    if bit >= limit:
-                        break
                     rest ^= bit
                     _, w, s, c = below[target ^ bit]
                     if (target & (bit - 1)).bit_count() & 1:
@@ -194,7 +194,6 @@ def subset_dp(p: int, progress: bool = False) -> PartialResult:
                         signed += s
                     count += c
                 layer[target] = (t2, weight * fall[t2 + p], signed, count)
-                v += 1
         now = time.monotonic()
         if progress and now - last_report >= PROGRESS_INTERVAL_S:
             last_report = now

@@ -219,8 +219,11 @@ def count_late_growing(n: int) -> int:
 
     A DP over the set of values used by a prefix: the prefix condition
     2 * sum <= k * n depends only on that set, so the allowed orderings of
-    each set of k < n values are summed over its allowed last values. The
-    last value of a full permutation is forced and never constrained.
+    each set of k < n values are summed over its allowed last values. A
+    prefix of k values with sum ``total`` extends by an unused v iff
+    2 * (total + v) <= k * n, that is v <= k * n // 2 - total, which is
+    the value loop's upper end. The last value of a full permutation is
+    forced and never constrained.
     ``is_late_growing`` is the per-permutation definition it is tested
     against.
     """
@@ -230,11 +233,8 @@ def count_late_growing(n: int) -> int:
     for k in range(1, n):
         below, layer = layer, {}
         for used, (total, ways) in below.items():
-            for v in range(1, n + 1):
-                if used >> v & 1:
-                    continue
-                if 2 * (total + v) > k * n:
-                    break  # larger values exceed the bound too
-                key = used | 1 << v
-                layer[key] = (total + v, layer.get(key, (0, 0))[1] + ways)
+            for v in range(1, min(n, k * n // 2 - total) + 1):
+                if not used >> v & 1:
+                    key = used | 1 << v
+                    layer[key] = (total + v, layer.get(key, (0, 0))[1] + ways)
     return sum(ways for _, ways in layer.values())

@@ -25,11 +25,12 @@ from altwronsk.permutations import (
     suffix_partial_sums,
 )
 
-# p, phi, even, odd, const - the cheap reference rows. The constants up to
-# p = 6 are also derived without the package (monomial composition, below),
-# and up to p = 7 by the literal oracle (last test); p = 8 is checked
-# through the subset DP here and by the oracle in CI. The walks at p >= 7
-# take minutes and more.
+# p, phi, even, odd, const - the rows the subset DP is checked against in
+# tier-1 (p = 10 takes about 1 s). The constants up to p = 6 are also
+# derived without the package (monomial composition, below), up to p = 7 by
+# the literal oracle (last test) and for p = 8-10 by the oracle in CI; the
+# counts up to p = 9 by the late-growing signed count (below) and row 10's
+# in CI. The walks at p >= 7 take minutes and more.
 REFERENCE_ROWS = [
     (1, 1, 1, 0, 1),
     (2, 3, 1, 2, 2),
@@ -41,6 +42,12 @@ REFERENCE_ROWS = [
      85873408332103907284746052081828368),
     (8, 104_899_483_845, 52_449_741_922, 52_449_741_923,
      4_594_491_123_326_092_088_701_002_220_876_785_865_521_537_220_214_784),
+    (9, 24_698_838_710_457, 12_349_419_355_229, 12_349_419_355_228,
+     int("205956034237254985531152064619223185782865815699521319789531"
+         "1773186910208")),
+    (10, 7_444_522_779_300_351, 3_722_261_389_650_175, 3_722_261_389_650_176,
+     int("123665856166879221752296905181610065818908275984643847634358"
+         "46689194555321926721635186969600000000")),
 ]
 
 
@@ -48,7 +55,9 @@ REFERENCE_ROWS = [
 # the subset DP (about 5 s, 23 s and 161 s). Tier-1 checks only their
 # arithmetic. A CI step recomputes every field of row 11, and another
 # matches const(11) with the literal oracle; the oracle matched const(12)
-# in a one-off run (245 s). Only row 13 has no derivation but the DP.
+# in a one-off run (245 s). The late-growing signed count (below) gives
+# row 11's counts in CI and matched row 12's in a one-off run (44 s). Only
+# row 13 has no derivation but the DP.
 DP_ONLY_ROWS = [
     (11, 2_792_467_448_952_670_671, 1_396_233_724_476_335_336,
      1_396_233_724_476_335_335,
@@ -152,7 +161,6 @@ def test_published_rows_arithmetic_sentinels():
     # Facts about the rows p <= 13, not conjectures about all p. A new row
     # that breaks one deserves a second look before it is published.
     consts = {p: const for p, *_, const in REFERENCE_ROWS + DP_ONLY_ROWS}
-    consts.update((p, const_of_p(p).const_p) for p in (9, 10))
 
     def valuation(n, prime):
         k = 0
@@ -357,6 +365,52 @@ def test_monomial_composition_gives_exact_constant(p, const):
     for exponents, m in draws:
         assert monomial_composition_const(p, exponents, m) == const, \
             (exponents, m)
+
+
+def late_growing_counts(p):
+    """(|Phi_p|, even, odd) from the late-growing permutations of n = 2p.
+
+    Reverse-complement, sigma(i) -> n + 1 - sigma(n + 1 - i), maps Phi_p
+    onto the permutations of 1..n whose every proper prefix has mean at
+    most n/2, and keeps the inversion count: reversal and complement each
+    send it to n(n-1)/2 - inv. A layered DP over the set ``used`` of values
+    a prefix holds carries (sum, count, signed count) summed over the
+    prefix's orderings. Appending v adds one inversion per used value above
+    v. The last value is forced to be n, since the first n - 1 sum to at
+    most (n - 1)n/2, so it adds none, and the last layer holds one set.
+    Standard library only: it shares no code with the package.
+    """
+    n = 2 * p
+    layer = {0: (0, 1, 1)}
+    for k in range(1, n):
+        following = {}
+        for used, (total, count, signed) in layer.items():
+            for v in range(1, n + 1):
+                if 2 * (total + v) > k * n:
+                    break
+                if used >> v & 1:
+                    continue
+                step = -signed if (used >> v).bit_count() & 1 else signed
+                key = used | 1 << v
+                _, c, s = following.get(key, (0, 0, 0))
+                following[key] = (total + v, c + count, s + step)
+        layer = following
+    ((_, count, signed),) = layer.values()
+    even = (count + signed) // 2
+    return count, even, count - even
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_late_growing_counts_match_the_filtered_signs(p):
+    signs = [sign(perm) for perm in enumerate_filtered(p)]
+    assert late_growing_counts(p) == (len(signs), signs.count(1),
+                                      signs.count(-1))
+
+
+@pytest.mark.parametrize(
+    "p, phi, even, odd", [row[:4] for row in REFERENCE_ROWS if row[0] <= 9])
+def test_late_growing_counts_give_the_pinned_counts(p, phi, even, odd):
+    assert late_growing_counts(p) == (phi, even, odd)
 
 
 @pytest.mark.parametrize(

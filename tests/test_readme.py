@@ -1,5 +1,8 @@
 import doctest
+import math
 from pathlib import Path
+
+from test_engine import DP_ONLY_ROWS, REFERENCE_ROWS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +44,22 @@ def test_readme_caps_table_states_the_cli_caps():
                          int(cap if slow_cap == "(no `--slow`)" else slow_cap))
     assert sorted(CAP_ROWS.values()) == sorted(_CAPS)
     assert rows == {row: _CAPS[kind][:2] for row, kind in CAP_ROWS.items()}
+
+
+def test_readme_results_table_states_the_pinned_rows():
+    # Every published cell but the DP time: const(p), |Phi_p| / N! and
+    # even / odd, against the rows the test suite pins.
+    lines = README.read_text().splitlines()
+    start = lines.index(
+        "| p | const(p) | contributing / N! | even / odd | DP time |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        p, const, counts, parity, _ = map(str.strip, line.split("|")[1:-1])
+        phi, n_factorial = counts.split(" / ")
+        even, odd = parity.split(" / ")
+        rows.append(tuple(map(int, (p, phi, n_factorial, even, odd, const))))
+    assert rows == [(p, phi, math.factorial(2 * p), even, odd, const)
+                    for p, phi, even, odd, const in REFERENCE_ROWS
+                    + DP_ONLY_ROWS if p <= 12]
