@@ -162,7 +162,13 @@ def subset_dp(p: int, progress: bool = False) -> PartialResult:
     lowest member of ``mask`` (to 2p - 1 for the empty set). A set's
     orderings end in one of its members u <= t + p, t being the set's own
     sum (so that the set without u had t >= 0), and the pull loop runs
-    over exactly those members.
+    over exactly those members. They are the set's lowest members, so the
+    number of placed values below u is u's rank among them, and the sign
+    rule makes the signed sums x_0 - x_1 + x_2 - ..., x_i being the entry
+    of the set without its member of rank i (0 the lowest). The loop takes
+    the members highest first and keeps one running difference, x_i minus
+    the difference so far, which after the lowest member is that
+    alternating sum; the counts just add.
 
     With ``progress`` set, prints "layer k/2p-1, S states" to stderr at
     most once per ``PROGRESS_INTERVAL_S``.
@@ -183,16 +189,10 @@ def subset_dp(p: int, progress: bool = False) -> PartialResult:
                 weight = signed = count = 0
                 rest = target & ((2 << (t2 + p)) - 1)
                 while rest:
-                    bit = rest & -rest
+                    bit = 1 << rest.bit_length() - 1
                     rest ^= bit
                     _, w, s, c = below[target ^ bit]
-                    if (target & (bit - 1)).bit_count() & 1:
-                        weight -= w
-                        signed -= s
-                    else:
-                        weight += w
-                        signed += s
-                    count += c
+                    weight, signed, count = w - weight, s - signed, count + c
                 layer[target] = (t2, weight * fall[t2 + p], signed, count)
         now = time.monotonic()
         if progress and now - last_report >= PROGRESS_INTERVAL_S:

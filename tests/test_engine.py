@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,9 @@ from altwronsk.permutations import (
 # derived without the package (monomial composition, below), up to p = 7 by
 # the literal oracle (last test) and for p = 8-10 by the oracle in CI; the
 # counts up to p = 9 by the late-growing signed count (below) and row 10's
-# in CI. The walks at p >= 7 take minutes and more.
+# in CI. Exponential weights (exponential_residue, below) check the
+# constants modulo two primes up to p = 7, and p = 10 in CI. The walks at
+# p >= 7 take minutes and more.
 REFERENCE_ROWS = [
     (1, 1, 1, 0, 1),
     (2, 3, 1, 2, 2),
@@ -56,8 +59,10 @@ REFERENCE_ROWS = [
 # arithmetic. A CI step recomputes every field of row 11, and another
 # matches const(11) with the literal oracle; the oracle matched const(12)
 # in a one-off run (245 s). The late-growing signed count (below) gives
-# row 11's counts in CI and matched row 12's in a one-off run (44 s). Only
-# row 13 has no derivation but the DP.
+# row 11's counts in CI and matched row 12's in a one-off run (44 s).
+# exponential_residue (below) matched const(11) and const(12) modulo both
+# of its primes, and const(13) modulo 2^61 - 1, in one-off runs. Row 13 has
+# no derivation but the DP: a residue checks it, but does not derive it.
 DP_ONLY_ROWS = [
     (11, 2_792_467_448_952_670_671, 1_396_233_724_476_335_336,
      1_396_233_724_476_335_335,
@@ -420,3 +425,64 @@ def test_literal_oracle_gives_reference_rows(p, const):
     # The literal oracle sums every ordering over weight-index subsets; it
     # shares no code with the DP that produced these rows.
     assert brute_force_const(p) == const
+
+
+def exponential_residue(p, q):
+    """const(p) mod the prime q > 2p, from exponential weights.
+
+    With weights w_j = e^{jx}, j = 0..2p-1, and f = e^{mu x}, an ordering
+    sigma of the operators maps f to mu^p prod_k (mu + s_k)^p e^{...}, s_k
+    being the sum of the last k indices of sigma; the Wronskian is the
+    Vandermonde of 0..2p-1, the superfactorial 0! 1! ... (2p-1)!. Dividing
+    by mu^p and setting mu = 0 gives sum_sigma sgn(sigma) prod_{k<2p}
+    s_k^p = const(p) * superfactorial. A DP over index masks, in
+    increasing order, sums it: D[m] = S(m)^p * sum_{j in m} (-1)^(members
+    of m below j) D[m - {j}], with D[0] = 1 and S(m) m's index sum, read
+    from two half-mask tables. The full mask takes the signed sum without
+    the power. The members are taken lowest first with a running
+    difference, which gives each mask's sum times (-1)^(|m| - 1); along
+    any chain of masks from 0 to the full one these signs multiply to
+    (-1)^(0 + 1 + ... + (2p - 1)) = (-1)^p, one flip at the end. Standard
+    library only: it shares no code with the package.
+    """
+    n = 2 * p
+    low = [sum(j for j in range(p) if half >> j & 1) for half in range(1 << p)]
+    high = [total + p * half.bit_count() for half, total in enumerate(low)]
+    power = [pow(s, p, q) for s in range(n * (n - 1) // 2 + 1)]
+    table = array("q", bytes(8 << n))
+    table[0] = 1
+    for m in range(1, 1 << n):
+        signed, rest = 0, m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            signed = table[m ^ bit] - signed
+        table[m] = signed * power[low[m & (1 << p) - 1] + high[m >> p]] % q
+    # signed now holds the full mask's sum, before its power.
+    superfactorial = math.prod(math.factorial(k) for k in range(n))
+    return (-1) ** p * signed * pow(superfactorial, -1, q) % q
+
+
+EXPONENTIAL_PRIMES = (2**61 - 1, 4_294_967_291)
+
+
+@pytest.mark.parametrize(
+    "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS if row[0] <= 3])
+def test_exponential_sum_over_every_ordering(p, const):
+    # The identity behind exponential_residue, summed exactly over all of
+    # S_2p with each sign counted from its inversions.
+    n = 2 * p
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = math.prod(sum(perm[n - k:]) ** p for k in range(1, n))
+        total += -term if inversions & 1 else term
+    assert total == const * math.prod(math.factorial(k) for k in range(n))
+
+
+@pytest.mark.parametrize("q", EXPONENTIAL_PRIMES)
+@pytest.mark.parametrize(
+    "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS if row[0] <= 7])
+def test_exponential_residue_gives_the_pinned_constant(p, const, q):
+    assert exponential_residue(p, q) == const % q
