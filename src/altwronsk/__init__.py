@@ -5,9 +5,9 @@ function, and summing over all orderings with permutation signs yields a
 single operator: a universal constant times the Wronskian of the weights
 times the p-th derivative. This package computes those constants exactly
 with a dynamic program over the sets of placed values (``subset_dp``),
-cross-checks it with a pruned backtracking walk that evaluates a
-falling-factorial product per contributing permutation, and verifies both
-against a literal symbolic-operator expansion.
+cross-checks it with a pruned backtracking walk over the contributing
+permutations, which sums their falling-factorial products subtree by
+subtree, and verifies both against a literal symbolic-operator expansion.
 
 A bare ``import altwronsk`` loads no submodule. Every public name, and each
 submodule named in ``_OWNER``, loads on first use (PEP 562), so a process

@@ -52,11 +52,13 @@ def _cost(p: int) -> str:
 
 # Each kind of work: the largest p it runs without --slow, the largest with
 # it, and the reason a refusal gives at p. A cap with --slow is the largest
-# p that work has run: the subset DP at 13 (185.8 s and 1,703 MB; its
-# memory grows about 4x per step), the walk at 7 (495 s on 2 processes),
-# the one-process stream of the contributing set at 6 (about 1.3 s), the
-# exhaustive filter at 5 (all 3.6 M orderings, about 1.3 s), the oracle at
-# 12 (245 s and 1,785 MB) and one theorem-random trial at 8 (about 35 s).
+# p that work has run: the subset DP at 13 (99.7 s of CPU and 1,739 MB in
+# its latest run, 185.8 s in an earlier one; its memory grows about 4x per
+# step), the walk at 7 (414 s on 2 processes; the refusal quotes an older
+# kernel's 495 s), the one-process stream of the contributing set at 6
+# (about 1.3 s), the exhaustive filter at 5 (all 3.6 M orderings, about
+# 1.3 s), the oracle at 12 (245 s and 1,785 MB) and one theorem-random
+# trial at 8 (about 35 s).
 # Where --slow lifts a cap, the cap without it stops at a few seconds.
 _CAPS = {
     "dp": _ran_up_to("the subset DP", 13,

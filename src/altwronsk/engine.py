@@ -10,14 +10,14 @@ The default evaluation, ``subset_dp``, is a dynamic program over the sets of
 placed values: a running exponent and the sign picked up by one placement
 depend only on which values are already placed, not on their order, so the
 sum over orderings collapses layer by layer (one layer per set size). The
-pruned walk of ``parallel.compute`` evaluates the same sum permutation by
-permutation and stays available as the cross-check: ``const_of_p`` runs it
-when ``workers > 1`` or a split ``depth`` is given, and only then imports
-``parallel``. Both paths share what this module owns: ``PartialResult``,
-the falling-factorial table and the progress interval. Everything here is
-arbitrary-precision integer arithmetic; a division that leaves a remainder
-is an implementation bug, never valid data, and raises
-``ExactDivisionError``.
+pruned walk of ``parallel.compute`` evaluates the same sum over the tree
+of contributing permutations and stays available as the cross-check:
+``const_of_p`` runs it when ``workers > 1`` or a split ``depth`` is given,
+and only then imports ``parallel``. Both paths share what this module
+owns: ``PartialResult``, the falling-factorial table and the progress
+interval. Everything here is arbitrary-precision integer arithmetic; a
+division that leaves a remainder is an implementation bug, never valid
+data, and raises ``ExactDivisionError``.
 """
 
 from __future__ import annotations

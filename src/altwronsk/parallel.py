@@ -5,14 +5,15 @@ The pruned search that builds the contributing set for N = 2p
 ``depth`` placed values, it splits the tree into disjoint subtrees, and
 ``partition_work`` makes each pruned suffix of that length a ``SubtreeTask``
 carrying the search's state there. ``run_task_counting`` resumes the search
-from that state with ``_walk``, the accumulating kernel, which adds up per
-completed permutation its sign and the product of falling factorials of the
-running exponents - the per-term value of the signed sum. ``run_tasks`` is
-the one place a process pool runs. A ``PartialResult`` holds the signed sum
-and the counts of even and odd permutations, whose total is the number of
-terms. Partial results form a commutative monoid under componentwise
-addition, so any schedule, worker count or split depth reduces to the
-identical exact total. ``engine`` owns ``PartialResult``, the
+from that state with ``_walk``, the summing kernel, which returns the
+signed sum of its subtree: each placement's falling factorial of the
+running exponent multiplies the sum below it once, so each permutation's
+term, the product of the factors along its path, is never formed.
+``run_tasks`` is the one place a process pool runs. A ``PartialResult``
+holds the signed sum and the counts of even and odd permutations, whose
+total is the number of terms. Partial results form a commutative monoid
+under componentwise addition, so any schedule, worker count or split depth
+reduces to the identical exact total. ``engine`` owns ``PartialResult``, the
 falling-factorial table and ``PROGRESS_INTERVAL_S``, which the subset DP
 shares; this module imports them from there.
 """
@@ -71,49 +72,47 @@ def partition_work(p: int, depth: int) -> list[SubtreeTask]:
             for suffix, t, parity in pruned_suffixes(p, depth)]
 
 
-def _walk(pool: list[int], t: int, parity: int, product: int,
-          fall: tuple[int, ...], p: int, out: list[int]) -> None:
-    # out = [signed_sum, even, odd, placements_attempted]
+def _walk(pool: list[int], t: int, parity: int, fall: tuple[int, ...],
+          p: int, out: list[int]) -> int:
+    # The subtree's signed sum without the last value's factor, fall[p]:
+    # the running sums of 1..2p-1 end at 0. out = [even, odd, placements]
     if len(pool) == 1:
-        v = pool[0]
-        out[3] += 1
-        t2 = t + v - p
-        if t2 >= 0:
-            product *= fall[t2 + p]
-            if parity ^ ((v - 1) & 1):
-                out[0] -= product
-                out[2] += 1
-            else:
-                out[0] += product
-                out[1] += 1
-        return
+        out[2] += 1
+        odd = parity ^ ((pool[0] - 1) & 1)
+        out[odd] += 1
+        return -1 if odd else 1
+    below = 0
     for idx in range(len(pool)):
         v = pool[idx]
-        out[3] += 1
+        out[2] += 1
         t2 = t + v - p
         if t2 < 0:
             continue
         pool.pop(idx)
-        _walk(pool, t2, parity ^ ((v - 1 - idx) & 1),
-              product * fall[t2 + p], fall, p, out)
+        below += fall[t2 + p] * _walk(pool, t2, parity ^ ((v - 1 - idx) & 1),
+                                      fall, p, out)
         pool.insert(idx, v)
+    return below
 
 
 def run_task_counting(task: SubtreeTask) -> tuple[PartialResult, int]:
-    """Finish the search below a task, accumulating signed per-term values.
+    """Finish the search below a task, summing its signed per-term values.
 
     Returns the task's ``PartialResult`` and the number of candidate
     placements attempted, pruned or not - the instrumentation behind
     benchmark "examined" figures. The walk resumes from the task's carried
     state: a value v placed with idx smaller candidates left has
-    (v - 1 - idx) placed values below it.
+    (v - 1 - idx) placed values below it. Each placement's factor
+    multiplies the sum below it once (Horner's rule), and the task's
+    carried product and the last factor multiply the subtree's sum once.
     """
     placed = set(task.fixed_suffix)
     pool = [v for v in range(1, 2 * task.p) if v not in placed]
-    out = [0, 0, 0, 0]
-    _walk(pool, task.running_sum, task.parity, task.product,
-          _falling_factorials(task.p), task.p, out)
-    return PartialResult(out[0], out[1], out[2]), out[3]
+    fall = _falling_factorials(task.p)
+    out = [0, 0, 0]
+    below = _walk(pool, task.running_sum, task.parity, fall, task.p, out)
+    return PartialResult(task.product * below * fall[task.p],
+                         out[0], out[1]), out[2]
 
 
 def run_task(task: SubtreeTask) -> PartialResult:

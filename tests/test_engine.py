@@ -32,8 +32,10 @@ from altwronsk.permutations import (
 # the literal oracle (last test) and for p = 8-10 by the oracle in CI; the
 # counts up to p = 9 by the late-growing signed count (below) and row 10's
 # in CI. Exponential weights (exponential_residue, below) check the
-# constants modulo two primes up to p = 7, and p = 10 in CI. The walks at
-# p >= 7 take minutes and more.
+# constants modulo two primes up to p = 7, and p = 10 in CI; CRT over more
+# primes (exponential_const, below) derives them up to p = 8, and p = 9 and
+# 10 in CI. The positive-root count (root_count, below) derives them up to
+# p = 5, and p = 6 in CI. The walks at p >= 7 take minutes and more.
 REFERENCE_ROWS = [
     (1, 1, 1, 0, 1),
     (2, 3, 1, 2, 2),
@@ -56,13 +58,14 @@ REFERENCE_ROWS = [
 
 # p, phi, even, odd, const - rows 11, 12 and 13, each pinned from one run of
 # the subset DP (about 5 s, 23 s and 161 s). Tier-1 checks only their
-# arithmetic. A CI step recomputes every field of row 11, and another
-# matches const(11) with the literal oracle; the oracle matched const(12)
-# in a one-off run (245 s). The late-growing signed count (below) gives
-# row 11's counts in CI and matched row 12's in a one-off run (44 s).
-# exponential_residue (below) matched const(11) and const(12) modulo both
-# of its primes, and const(13) modulo 2^61 - 1, in one-off runs. Row 13 has
-# no derivation but the DP: a residue checks it, but does not derive it.
+# arithmetic and the positive-root count's bound (const_bound, below). A
+# CI step recomputes every field of row 11, and another matches const(11)
+# with the literal oracle; the oracle matched const(12) in a one-off run
+# (245 s). The late-growing signed count (below) gives row 11's counts in
+# CI and matched rows 12 and 13 in one-off runs (44 s and 323 s). CRT over
+# exponential residues (exponential_const, below) matched const(11),
+# const(12) and const(13) in one-off runs (105 s, 566 s and 3,165 s), row
+# 13's one derivation outside the DP.
 DP_ONLY_ROWS = [
     (11, 2_792_467_448_952_670_671, 1_396_233_724_476_335_336,
      1_396_233_724_476_335_335,
@@ -486,3 +489,128 @@ def test_exponential_sum_over_every_ordering(p, const):
     "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS if row[0] <= 7])
 def test_exponential_residue_gives_the_pinned_constant(p, const, q):
     assert exponential_residue(p, q) == const % q
+
+
+def root_count(p):
+    """A(p): the ways to give every pair k < l of the points 1..2p one edge
+    in k..l-1, each of the 2p - 1 edges getting exactly p pairs.
+
+    const(p) = p!^(2p-1) * A(p) / (0! 1! ... (2p-1)!).
+    The sweep goes over the edges m = 1..2p-1 with, per state, the number
+    of pending pairs for each right end l > m. At edge m the pairs (m, l)
+    are released, the pairs ending at m + 1 are forced onto m, and the rest
+    of its p pairs are chosen one right end at a time, each choice weighted
+    by a binomial, in one bucket per (vector, pairs still to place) across
+    all states. Standard library only: no permutation, sign or polynomial.
+    """
+    n = 2 * p
+    layer = {(0,) * (n - 1): 1}
+    for m in range(1, n):
+        buckets = {}
+        for pending, ways in layer.items():
+            forced, *rest = (c + 1 for c in pending)
+            if forced <= p:
+                key = (tuple(rest), p - forced)
+                buckets[key] = buckets.get(key, 0) + ways
+        for j in range(n - m - 1):
+            following = {}
+            for (pending, left), ways in buckets.items():
+                c = pending[j]
+                for take in range(min(c, left) + 1):
+                    key = (pending[:j] + (c - take,) + pending[j + 1:],
+                           left - take)
+                    following[key] = (following.get(key, 0)
+                                      + ways * math.comb(c, take))
+            buckets = following
+        layer = {pending: ways
+                 for (pending, left), ways in buckets.items() if left == 0}
+    return layer[()]
+
+
+def const_bound(p):
+    """prod_d d^(2p-d) * p!^(2p-1) / (0! 1! ... (2p-1)!) >= const(p).
+
+    A(p) <= prod_d d^(2p-d), since each of the 2p - d pairs at distance d
+    has d edges to choose from.
+    """
+    n = 2 * p
+    superfactorial = math.prod(math.factorial(k) for k in range(n))
+    edges = math.prod(d ** (n - d) for d in range(1, n))
+    return edges * math.factorial(p) ** (n - 1) // superfactorial
+
+
+@pytest.mark.parametrize(
+    "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS if row[0] <= 5])
+def test_root_count_gives_the_pinned_constant(p, const):
+    superfactorial = math.prod(math.factorial(k) for k in range(2 * p))
+    assert root_count(p) * math.factorial(p) ** (2 * p - 1) == \
+        const * superfactorial
+
+
+def test_pinned_constants_lie_within_the_bound():
+    for p, *_, const in REFERENCE_ROWS + DP_ONLY_ROWS:
+        # prod_d d^(2p-d) is the superfactorial itself, so B(p) = p!^(2p-1).
+        assert const_bound(p) == math.factorial(p) ** (2 * p - 1)
+        assert 0 < const <= const_bound(p)
+
+
+# The largest primes below 2^61, in decreasing order: CRT over them
+# reconstructs const(p) from its exponential residues.
+CRT_PRIMES = tuple(2**61 - c for c in (1, 31, 45, 229, 259, 283, 339, 391,
+                                        403, 465, 531, 579, 675, 759))
+
+
+def exponential_const(p):
+    """const(p) exactly, by CRT over exponential_residue(p, q).
+
+    Takes CRT_PRIMES in order until their product exceeds const_bound(p)
+    (7 primes at p = 10, 14 at p = 13): then 0 <= const(p) < the product,
+    so the residue modulo the product is the value itself. Standard
+    library only.
+    """
+    value, modulus, bound = 0, 1, const_bound(p)
+    for q in CRT_PRIMES:
+        lift = (exponential_residue(p, q) - value) * pow(modulus, -1, q) % q
+        value += modulus * lift
+        modulus *= q
+        if modulus > bound:
+            return value
+    raise ValueError(f"CRT_PRIMES do not cover const({p})'s bound")
+
+
+def is_prime(n):
+    # Miller-Rabin on the prime bases up to 37: deterministic below 3.3e24.
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_crt_primes_are_the_largest_below_2_to_61():
+    assert [n for n in range(50) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert not is_prime(3_215_031_751)  # a strong pseudoprime to 2, 3, 5, 7
+    assert [n for n in range(2**61 - 1, CRT_PRIMES[-1] - 1, -1)
+            if is_prime(n)] == list(CRT_PRIMES)
+    # Row 13 needs all of them.
+    bound = const_bound(13)
+    assert math.prod(CRT_PRIMES[:-1]) <= bound < math.prod(CRT_PRIMES)
+
+
+@pytest.mark.parametrize(
+    "p, const", [(row[0], row[4]) for row in REFERENCE_ROWS if row[0] <= 8])
+def test_exponential_const_gives_the_pinned_constant(p, const):
+    assert exponential_const(p) == const

@@ -62,4 +62,4 @@ def test_readme_results_table_states_the_pinned_rows():
         rows.append(tuple(map(int, (p, phi, n_factorial, even, odd, const))))
     assert rows == [(p, phi, math.factorial(2 * p), even, odd, const)
                     for p, phi, even, odd, const in REFERENCE_ROWS
-                    + DP_ONLY_ROWS if p <= 12]
+                    + DP_ONLY_ROWS if p <= 13]
