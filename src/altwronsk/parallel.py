@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
@@ -75,22 +76,20 @@ def partition_work(p: int, depth: int) -> list[SubtreeTask]:
 def _walk(pool: list[int], t: int, parity: int, fall: tuple[int, ...],
           p: int, out: list[int]) -> int:
     # The subtree's signed sum without the last value's factor, fall[p]:
-    # the running sums of 1..2p-1 end at 0. out = [even, odd, placements]
+    # the running sums of 1..2p-1 end at 0. out = [even, odd, placements].
+    # As in pruned_suffixes, every value left is a candidate, and the
+    # feasible ones, v >= p - t, start at bisect_left(pool, p - t). Placing
+    # v takes the running sum to t + v - p and the exponent to t + v.
+    out[2] += len(pool)
     if len(pool) == 1:
-        out[2] += 1
         odd = parity ^ ((pool[0] - 1) & 1)
         out[odd] += 1
         return -1 if odd else 1
     below = 0
-    for idx in range(len(pool)):
-        v = pool[idx]
-        out[2] += 1
-        t2 = t + v - p
-        if t2 < 0:
-            continue
-        pool.pop(idx)
-        below += fall[t2 + p] * _walk(pool, t2, parity ^ ((v - 1 - idx) & 1),
-                                      fall, p, out)
+    for idx in range(bisect_left(pool, p - t), len(pool)):
+        v = pool.pop(idx)
+        below += fall[t + v] * _walk(pool, t + v - p,
+                                     parity ^ ((v - 1 - idx) & 1), fall, p, out)
         pool.insert(idx, v)
     return below
 

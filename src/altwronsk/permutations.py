@@ -120,9 +120,9 @@ def pruned_suffixes(
     only the values placed here, and ``parity`` counts their inversions
     with every value to their right, the placed ones included.
 
-    The search recurses like ``parallel._walk``, one call per placed value.
-    The pool of remaining values stays sorted, so at running sum t the
-    feasible candidates, those with v >= p - t, start at
+    The search recurses like ``parallel._walk``, one call per placed value,
+    and loops as it does: the pool of remaining values stays sorted, so at
+    running sum t the feasible candidates, those with v >= p - t, start at
     ``bisect_left(pool, p - t)``.
 
     ``counter``, when given, has its first element incremented once per

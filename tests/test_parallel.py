@@ -112,9 +112,26 @@ def test_run_task_is_pure():
 
 def test_run_task_counting_reports_attempts():
     # The p = 2 root: nothing placed, sum 0, even parity, empty product.
-    result, attempts = run_task_counting(SubtreeTask(2, (), 0, 0, 1))
-    assert result.terms_evaluated == 3
-    assert attempts >= 3
+    # Its pools hold 3 values, then 2 under each of 2 and 3, then 1 under
+    # each of the 3 feasible pairs: 3 + 2 * 2 + 3 = 10 placements.
+    assert run_task_counting(SubtreeTask(2, (), 0, 0, 1)) == (
+        PartialResult(24, 1, 2), 10)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_walk_counts_what_the_search_counts(p):
+    # Below each task the walk attempts the placements the pruned search
+    # attempts over the values left, and reaches the leaves it yields.
+    # p = 5 runs depths 1-2 only: all its depths take about 2 s.
+    for depth in range(1, 3 if p == 5 else max(2, 2 * p - 1)):
+        for task in partition_work(p, depth):
+            rest = [v for v in range(1, 2 * p) if v not in task.fixed_suffix]
+            counter = [0]
+            leaves = sum(1 for _ in pruned_suffixes(p, len(rest), counter,
+                                                    rest))
+            result, attempts = run_task_counting(task)
+            assert attempts == counter[0]
+            assert result.terms_evaluated == leaves
 
 
 @pytest.mark.parametrize(
