@@ -6,13 +6,14 @@ Results go to stdout; progress and diagnostics to stderr. Exit codes:
 any other exception that no argument caused), 130 interrupted.
 
 Every command's work grows too fast with p. One table, ``_CAPS``, holds the
-two caps of each kind of work, without and with ``--slow``: one row per
-kind, so commands that run the same work share its caps. Each subcommand
-names its work: its ``work`` default is a function of the parsed arguments
-that returns its ``_CAPS`` row, which ``main`` checks p against before any
-handler starts and ``bench`` also branches on. Past the caps a command
-ends with one ``refusing: ...`` line and exit 2. Each verify mode is one
-row of ``_VERIFY``: its ``_CAPS`` row and its check.
+two caps of each kind of work, without and with ``--slow``, and the work's
+name: one row per kind, so commands that run the same work share its caps.
+Each subcommand names its work: its ``work`` default is a function of the
+parsed arguments that returns its ``_CAPS`` row, which ``main`` checks p
+(``table``'s ``--max-p``) against before any handler starts and ``bench``
+also branches on. Past the caps a command ends with one ``refusing: ...``
+line that names the work and the cap it hit, and exit 2. Each verify mode
+is one row of ``_VERIFY``: its ``_CAPS`` row and its check.
 
 A module that only some commands use (the walk in ``parallel``, the
 contributing-set stream and filter in ``permutations``, the oracle,
@@ -38,39 +39,21 @@ EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
-def _ran_up_to(work: str, cap: int, cost: str):
-    """A ``_CAPS`` row for work that no ``--slow`` lifts past its cap."""
-    return cap, cap, lambda p: (f"{work} has run only up to p={cap} ({cost}); "
-                                f"p={p} is past it")
-
-
-def _cost(p: int) -> str:
-    """The oracle's work at p: its derivatives and products."""
-    n = 2 * p
-    return f"2^{n} derivatives and {n} * 2^{n - 1} products"
-
-
 # Each kind of work: the largest p it runs without --slow, the largest with
-# it, and the reason a refusal gives at p. A cap with --slow is the largest
-# p that work has run: the subset DP at 13 (99.7 s of CPU and 1,739 MB in
-# its latest run, 185.8 s in an earlier one; its memory grows about 4x per
-# step), the walk at 7 (414 s on 2 processes; the refusal quotes an older
-# kernel's 495 s), the one-process stream of the contributing set at 6
-# (about 1.3 s), the exhaustive filter at 5 (all 3.6 M orderings, about
-# 1.3 s), the oracle at 12 (245 s and 1,785 MB) and one theorem-random
-# trial at 8 (about 35 s).
+# it, and its name in a refusal. A cap with --slow is the largest p that
+# work has run: the subset DP at 13 (99.7 s of CPU and 1,739 MB; its memory
+# grows about 4x per step), the walk at 7 (413.9 s wall on 2 processes), the
+# one-process stream of the contributing set at 6 (about 1.3 s), the
+# exhaustive filter at 5 (all 3.6 M orderings, about 1.3 s), the oracle at
+# 12 (245 s and 1,785 MB) and one theorem-random trial at 8 (about 35 s).
 # Where --slow lifts a cap, the cap without it stops at a few seconds.
 _CAPS = {
-    "dp": _ran_up_to("the subset DP", 13,
-                     "about 3 min and 1.7 GB, 4x the memory per step"),
-    "walk": _ran_up_to("the walk", 7, "495 s on 2 processes"),
-    "stream": _ran_up_to("the contributing-set stream", 6,
-                         "about 1.3 s in one process"),
-    "filter": _ran_up_to("the exhaustive filter", 5,
-                         "all 3,628,800 orderings, about 1.3 s"),
-    "oracle": (8, 12, lambda p: f"oracle mode takes {_cost(p)} at p={p}"),
-    "theorem-random": (5, 8, lambda p: f"theorem-random at p={p} takes "
-                                       f"{_cost(p)} per trial"),
+    "dp": (13, 13, "the subset DP"),
+    "walk": (7, 7, "the walk"),
+    "stream": (6, 6, "the contributing-set stream"),
+    "filter": (5, 5, "the exhaustive filter"),
+    "oracle": (8, 12, "the oracle"),
+    "theorem-random": (5, 8, "a theorem-random trial"),
 }
 
 
@@ -78,15 +61,17 @@ def _refusal(args: argparse.Namespace) -> str | None:
     """Why the command declines its p, or None when p is within its cap.
 
     The row is ``args.work(args)``, the ``_CAPS`` row that each subcommand
-    names for the work its arguments ask for; ``table`` is checked on
-    ``--max-p``. The reason suggests ``--slow`` only when that would let
-    this p run.
+    names for the work its arguments ask for; ``table``'s ``--max-p`` is
+    its ``p``. The reason names the cap that p is past, and suggests
+    ``--slow`` only when that would let this p run.
     """
-    p = args.max_p if args.command == "table" else args.p
-    cap, slow_cap, reason = _CAPS[args.work(args)]
-    if p <= cap or (p <= slow_cap and getattr(args, "slow", False)):
-        return None
-    return reason(p) + (" (pass --slow to override)" if p <= slow_cap else "")
+    cap, slow_cap, what = _CAPS[args.work(args)]
+    if args.p > slow_cap:
+        return f"{what} has run only up to p={slow_cap}; p={args.p} is past it"
+    if args.p > cap and not getattr(args, "slow", False):
+        return (f"{what} stops at p={cap} without --slow; p={args.p} is past "
+                "it (pass --slow to override)")
+    return None
 
 
 def _positive(text: str) -> int:
@@ -118,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                          work=lambda a: "walk" if a.workers > 1 else "dp")
 
     p_table = sub.add_parser("table", help="summary table for p = 1..max-p")
-    p_table.add_argument("--max-p", type=_positive, default=4)
+    p_table.add_argument("--max-p", type=_positive, default=4, dest="p",
+                         metavar="MAX_P")
     p_table.add_argument("--which", type=int, choices=(2, 3), default=2,
                          help="human format's columns: 2 counts and constants,"
                               " 3 growth ratios (jsonl, csv: whole records)")
@@ -268,7 +254,7 @@ TABLE_COLUMNS = {
 def cmd_table(args: argparse.Namespace) -> int:
     reports = [
         const_of_p(p, progress=not args.no_progress)
-        for p in range(1, args.max_p + 1)
+        for p in range(1, args.p + 1)
     ]
     headers = TABLE_COLUMNS[args.which]
     rows = [[cells[h] for h in headers] for cells in map(_cells, reports)]

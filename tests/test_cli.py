@@ -186,6 +186,31 @@ def _refusal(capsys, *argv) -> str:
     return err
 
 
+# A refusal names the work and the cap its p is past: the largest p that
+# work has run, or the cap without --slow when --slow would lift it.
+REFUSALS = [
+    ("const --p 14", "the subset DP has run only up to p=13; p=14 is past it"),
+    ("const --p 8 --workers 2",
+     "the walk has run only up to p=7; p=8 is past it"),
+    ("table --max-p 14",
+     "the subset DP has run only up to p=13; p=14 is past it"),
+    ("verify --p 9 --mode oracle",
+     "the oracle stops at p=8 without --slow; p=9 is past it "
+     "(pass --slow to override)"),
+    ("verify --p 13 --mode oracle --slow",
+     "the oracle has run only up to p=12; p=13 is past it"),
+    ("verify --p 6 --mode theorem-random",
+     "a theorem-random trial stops at p=5 without --slow; p=6 is past it "
+     "(pass --slow to override)"),
+]
+
+
+@pytest.mark.parametrize("command, reason", REFUSALS,
+                         ids=[command for command, _ in REFUSALS])
+def test_refusal_names_the_cap_it_hit(capsys, command, reason):
+    assert _refusal(capsys, *command.split()) == f"refusing: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "mode, p", [("oracle", 9), ("theorem-random", 6)],
 )
@@ -226,7 +251,7 @@ def test_refusal_at_large_p_is_a_refusal(capsys, argv):
 
 
 def test_a_refusal_loads_no_oracle():
-    # The oracle modes' refusals word the oracle's cost without loading it.
+    # The oracle modes refuse before the oracle is loaded.
     assert _fresh_interpreter(
         "from altwronsk.cli import main; "
         "print(*[main(['verify', '--p', '1000', '--mode', mode, '--slow']) "
