@@ -5,6 +5,10 @@ Results go to stdout; progress and diagnostics to stderr. Exit codes:
 3 internal error (a failed consistency check, a crashed worker process or
 any other exception that no argument caused), 130 interrupted.
 
+Handlers only compute: each returns its verdict, its records and its human
+lines, ``(passed, records, lines)``. ``main`` alone prints the records in
+the chosen ``--format`` and maps the verdict to exit 0 or 1.
+
 Every command's work grows too fast with p. One table, ``_CAPS``, holds the
 two caps of each kind of work, without and with ``--slow``, and the work's
 name: one row per kind, so commands that run the same work share its caps.
@@ -154,9 +158,10 @@ def main(argv: list[str] | None = None) -> int:
         # print would drop every line without a word.
         if sys.stdout is None:
             raise RuntimeError("stdout is closed")
-        code = args.handler(args)
+        passed, records, lines = args.handler(args)
+        _emit(args.format, records, lines)
         sys.stdout.flush()
-        return code
+        return EXIT_OK if passed else EXIT_FAIL
     except Exception as exc:  # a dead pool, a failed fork, MemoryError, a bug
         print(f"internal error: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
@@ -175,8 +180,7 @@ def _emit(fmt: str, records: list[dict], human_lines: list[str]) -> None:
     elif fmt == "jsonl":
         import json
 
-        for record in records:
-            print(json.dumps(record))
+        print("\n".join(map(json.dumps, records)))
     else:
         import csv
         import json
@@ -232,15 +236,14 @@ def _aligned(headers: list[str], rows: list[list[str]]) -> list[str]:
 # -- const ----------------------------------------------------------------
 
 
-def cmd_const(args: argparse.Namespace) -> int:
+def cmd_const(args: argparse.Namespace) -> tuple[bool, list, list]:
     report = const_of_p(args.p, workers=args.workers,
                         progress=not args.no_progress)
     cells = _cells(report)
     del cells["p!"]
     width = max(map(len, cells))
     lines = [f"{name.ljust(width)} = {value}" for name, value in cells.items()]
-    _emit(args.format, [report.to_record()], lines)
-    return EXIT_OK
+    return True, [report.to_record()], lines
 
 
 # -- table ----------------------------------------------------------------
@@ -251,16 +254,15 @@ TABLE_COLUMNS = {
 }
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[bool, list, list]:
     reports = [
         const_of_p(p, progress=not args.no_progress)
         for p in range(1, args.p + 1)
     ]
     headers = TABLE_COLUMNS[args.which]
     rows = [[cells[h] for h in headers] for cells in map(_cells, reports)]
-    _emit(args.format, [report.to_record() for report in reports],
-          _aligned(headers, rows))
-    return EXIT_OK
+    return (True, [report.to_record() for report in reports],
+            _aligned(headers, rows))
 
 
 # -- verify ---------------------------------------------------------------
@@ -362,36 +364,35 @@ _VERIFY = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[bool, list, list]:
     passed, record, (rest, *more) = _VERIFY[args.mode][1](args)
     head = f"{'PASS' if passed else 'FAIL'} {args.mode} p={args.p}{rest}"
     record = {"command": "verify", "mode": args.mode, "p": args.p,
               "passed": passed, **record}
-    _emit(args.format, [record], [head, *more])
-    return EXIT_OK if passed else EXIT_FAIL
+    return passed, [record], [head, *more]
 
 
 # -- bench ----------------------------------------------------------------
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[bool, list, list]:
     tasks = workers = 1  # the filter and the stream run in this process
-    started = time.perf_counter()
     kind = args.work(args)
+    # Import before the clock starts, so no compiling is timed (parallel
+    # imports permutations as well); the walk's pool start-up is timed.
+    from . import permutations
+    if kind == "walk":
+        from . import parallel
+    started = time.perf_counter()
     if kind == "filter":
-        from .permutations import enumerate_filtered
-
-        emitted = sum(1 for _ in enumerate_filtered(args.p))
+        emitted = sum(1 for _ in permutations.enumerate_filtered(args.p))
         examined = math.factorial(2 * args.p)
     elif kind == "stream":
-        from .permutations import enumerate_backtracking_signed
-
         counter = [0]
-        emitted = sum(1 for _ in enumerate_backtracking_signed(args.p, counter))
+        emitted = sum(1 for _ in permutations.enumerate_backtracking_signed(
+            args.p, counter))
         examined = counter[0]
     else:
-        from . import parallel
-
         work = parallel.partition_work(
             args.p, parallel.default_depth(args.p, args.workers))
         pairs = list(parallel.run_tasks(work, args.workers))
@@ -408,8 +409,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     line = (f"bench {args.algo} p={args.p} workers={workers}: "
             f"emitted={_underscored(emitted)} examined={_underscored(examined)} "
             f"tasks={tasks} elapsed={elapsed:.3f}s")
-    _emit(args.format, [record], [line])
-    return EXIT_OK
+    return True, [record], [line]
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ coefficient; the zero polynomial stores nothing. All arithmetic is exact
 in verification paths; the constructor raises ``TypeError`` on an exponent
 or coefficient that is not an ``int``.
 
+Every sum, difference, negation and product is one ``dot`` call: a
+negation is a product with ``MINUS_ONE`` and a difference a sum with it.
+
 ``str`` writes the terms in descending exponent order, "3*x^2 - x + 5",
 and the zero polynomial as "0". The text form is output only: values are
 built from exponent-to-coefficient maps, never read back from text.
@@ -54,7 +57,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self._coeffs == other._coeffs
         if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
+            return self == monomial(0, other)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -68,24 +71,19 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return _normalised({e: c for e, c in acc.items() if c})
+        return dot([(self, ONE), (other, ONE)])
 
     def __neg__(self) -> Polynomial:
-        return _normalised({e: -c for e, c in self._coeffs.items()})
+        return dot([(self, MINUS_ONE)])
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return dot([(self, ONE), (other, MINUS_ONE)])
 
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
-            if not other:
-                return _normalised({})
-            return _normalised({e: c * other for e, c in self._coeffs.items()})
+            other = monomial(0, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return dot([(self, other)])
@@ -131,9 +129,9 @@ def _normalised(coeffs: dict[int, int]) -> Polynomial:
     """Wrap a dict that already holds the canonical form: distinct exponents
     >= 0, each with a nonzero coefficient. It is not copied or checked.
 
-    The arithmetic above builds its results here, so it skips the public
-    constructor's checks and copy. Equality compares the dicts, so a stored
-    zero would break it.
+    Only ``dot`` and ``derivative`` build their results here, so they skip
+    the public constructor's checks and copy. Equality compares the dicts,
+    so a stored zero would break it.
     """
     poly = object.__new__(Polynomial)
     poly._coeffs = coeffs
@@ -143,7 +141,8 @@ def _normalised(coeffs: dict[int, int]) -> Polynomial:
 def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """The sum of ``a * b`` over the pairs (a, b): every product's terms are
     added into one exponent -> coefficient map, and its zero coefficients
-    are dropped once, at the end. The one product loop: ``*`` calls it too.
+    are dropped once, at the end. The one arithmetic loop: every operator
+    of ``Polynomial`` builds its result here.
     """
     acc: dict[int, int] = {}
     for a, b in pairs:
@@ -161,3 +160,4 @@ def monomial(exponent: int, coefficient: int = 1) -> Polynomial:
 
 ZERO = Polynomial()
 ONE = monomial(0)
+MINUS_ONE = monomial(0, -1)

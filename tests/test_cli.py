@@ -513,6 +513,40 @@ def test_closed_stdout_is_an_internal_error():
     assert done.stderr.count("\n") == 1
 
 
+def test_bench_clock_starts_after_its_imports():
+    # Compiling the stream's module is no part of the time bench reports:
+    # at the clock's first reading the module is already loaded.
+    out = _fresh_interpreter(
+        "import time; from altwronsk.cli import main; "
+        "clock, loaded = time.perf_counter, []; "
+        "time.perf_counter = lambda: loaded.append("
+        "'altwronsk.permutations' in sys.modules) or clock(); "
+        "main(['bench', '--p', '1', '--algo', 'v2']); print(loaded[0])")
+    assert out.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "command", ["const --p 3", "table --max-p 3", "verify --p 2 --mode parity"])
+def test_handlers_compute_and_main_prints(capsys, command, fmt):
+    # A handler prints nothing and returns its verdict, records and lines;
+    # main prints them in the chosen format.
+    argv = [*command.split(), "--format", fmt]
+    args = cli.build_parser().parse_args(argv)
+    passed, records, lines = args.handler(args)
+    assert capsys.readouterr().out == ""
+    assert passed is True
+    cli._emit(fmt, records, lines)
+    printed = capsys.readouterr().out
+    assert run_cli(capsys, *argv)[:2] == (0, printed)
+
+
+def test_bench_handler_prints_nothing(capsys):
+    args = cli.build_parser().parse_args(["bench", "--p", "2", "--algo", "v1"])
+    assert args.handler(args)[0] is True
+    assert capsys.readouterr().out == ""
+
+
 def test_every_public_name_resolves():
     # A bare import loads no submodule. Every name is resolved on first
     # use: each submodule by attribute access, and every name of __all__ by

@@ -64,3 +64,23 @@ def test_dot_of_nothing_or_of_cancelling_pairs_is_zero(a, b):
     assert dot([]) == ZERO
     assert dot([(a, b), (-a, b)]) == ZERO
     assert dot([(a, b), (b, -a)]) == ZERO
+
+
+def value(q, x):
+    return sum(c * x ** e for e, c in q.terms())
+
+
+@given(polynomials, polynomials, scalars,
+       st.lists(st.tuples(polynomials, polynomials), max_size=3))
+def test_operators_agree_with_values(a, b, s, pairs):
+    # Every operator builds its result through dot, so each is checked here
+    # without it: results of degree <= 16 that agree at 17 points are equal.
+    for x in range(-8, 9):
+        va, vb = value(a, x), value(b, x)
+        assert value(a + b, x) == va + vb
+        assert value(a - b, x) == va - vb
+        assert value(-a, x) == -va
+        assert value(a * b, x) == va * vb
+        assert value(a * s, x) == value(s * a, x) == va * s
+        assert value(dot(pairs), x) == sum(value(c, x) * value(d, x)
+                                           for c, d in pairs)
