@@ -115,7 +115,8 @@ class VerificationRecord(NamedTuple):
 
     ``extracted_const`` is the exact ratio between the alternating
     composition and Wronskian * p-th derivative of f; None when the check
-    failed or when both sides vanish (indeterminate).
+    failed or when both sides vanish (indeterminate). So a verdict that
+    wants a given constant compares ``extracted_const`` alone.
     """
 
     holds: bool
@@ -130,7 +131,10 @@ def verify_theorem(
 
     The ratio is fitted from the leading coefficients and then confirmed
     across every coefficient by cross-multiplication, avoiding polynomial
-    division. A default f = x^(3p) guarantees a nonzero p-th derivative.
+    division; that one comparison is ``holds``, and the ratio is returned
+    only when it holds. A zero right-hand side holds only against a zero
+    composition, with no ratio. A default f = x^(3p) guarantees a nonzero
+    p-th derivative.
     """
     if f is None:
         f = monomial(p + len(weights))
@@ -141,9 +145,8 @@ def verify_theorem(
     # A zero lhs fits the ratio 0. Sides of different degrees fail the
     # cross-multiplication: a nonzero integer factor keeps each degree.
     ratio = Fraction(lhs.leading_coefficient, rhs.leading_coefficient)
-    if lhs * ratio.denominator == rhs * ratio.numerator:
-        return VerificationRecord(holds=True, extracted_const=ratio)
-    return VerificationRecord(holds=False, extracted_const=None)
+    holds = lhs * ratio.denominator == rhs * ratio.numerator
+    return VerificationRecord(holds, ratio if holds else None)
 
 
 def monomial_weights(n: int) -> list[Polynomial]:
@@ -161,9 +164,9 @@ def brute_force_const(p: int) -> int:
     the fast engine is checked against. Raises ``ExactDivisionError``
     unless the two sides are proportional with an integer ratio.
     """
-    record = verify_theorem(p, monomial_weights(2 * p), monomial(p))
-    const = record.extracted_const
-    if not record.holds or const is None or const.denominator != 1:
+    const = verify_theorem(p, monomial_weights(2 * p),
+                           monomial(p)).extracted_const
+    if const is None or const.denominator != 1:
         raise ExactDivisionError(
             f"alternating sum is not an integer multiple of p! * Wronskian "
             f"(p={p}, ratio {const}); this is a bug")

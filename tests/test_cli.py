@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_const_rejects_bad_p(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    ("const --p abc", "--p"),
+    ("const --p 2 --workers abc", "--workers"),
+    ("table --max-p abc", "--max-p"),
+    ("verify --p 1 --mode parity --trials abc", "--trials"),
+], ids=["p", "workers", "max-p", "trials"])
+def test_non_integer_names_the_argument_not_the_type_function(
+        capsys, argv, option):
+    # argparse builds "invalid <type> value" from the type function's name.
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert f"argument {option}: invalid integer value: 'abc'" in err
+    assert "_positive" not in err
+
+
 def test_table_two(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-p", "2")
     assert code == 0
@@ -176,6 +192,24 @@ def test_verify_csv_writes_failures_as_json(capsys, monkeypatch):
     failures = json.loads(jsonl)["failures"]
     assert code == 1 and len(failures) == 1
     assert json.loads(row["failures"]) == failures
+
+
+@pytest.mark.parametrize(
+    "record",
+    [oracle.VerificationRecord(True, None),
+     oracle.VerificationRecord(True, Fraction(2))],
+    ids=["both-sides-vanish", "wrong-constant"],
+)
+def test_verify_fails_a_trial_on_its_extracted_constant(capsys, monkeypatch,
+                                                        record):
+    # A trial passes iff it extracts the expected constant, whatever holds
+    # says: an indeterminate ratio fails as a wrong one does.
+    monkeypatch.setattr(oracle, "verify_theorem", lambda *_: record)
+    code, out, _ = run_cli(capsys, "verify", "--p", "1", "--mode",
+                           "theorem-random", "--trials", "1")
+    assert code == 1
+    assert out.count("counterexample trial ") == 1
+    assert "  counterexample trial 0: " in out
 
 
 def _refusal(capsys, *argv) -> str:

@@ -21,7 +21,7 @@ from altwronsk.oracle import (
     verify_theorem,
 )
 from altwronsk.permutations import enumerate_backtracking, sign
-from altwronsk.polynomial import ONE, Polynomial, monomial
+from altwronsk.polynomial import ONE, ZERO, Polynomial, monomial
 
 
 def test_weighted_operator_examples():
@@ -217,6 +217,13 @@ def test_verify_theorem_degree_mismatch_fails(monkeypatch):
     # Wronskian 12 times (x^6)'' is 360 x^4; a cubic cannot be proportional.
     monkeypatch.setattr(oracle, "alternating_composition",
                         lambda *args: monomial(3, 360))
+    assert verify_theorem(2, monomial_weights(4)) == (False, None)
+
+
+def test_verify_theorem_zero_wronskian_nonzero_composition_fails(
+        monkeypatch):
+    # Only the zero composition is proportional to a zero right-hand side.
+    monkeypatch.setattr(oracle, "symbolic_wronskian", lambda *args: ZERO)
     assert verify_theorem(2, monomial_weights(4)) == (False, None)
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from altwronsk import permutations
 from altwronsk.permutations import (
     count_late_growing,
     enumerate_backtracking,
@@ -101,14 +102,16 @@ def test_is_contributing_examples():
 
 def test_contributing_equals_exponent_threshold():
     # Equivalent characterisation: first entry smallest and every running
-    # exponent at least p.
-    for p, perms in ((2, itertools.permutations(range(4))),
-                     (3, itertools.permutations(range(6)))):
-        for perm in perms:
-            by_exponents = perm[0] == 0 and all(
-                e >= p for e in direct_exponents(perm, p)
-            )
+    # exponent at least p. The exponent condition alone gives the same
+    # verdict, because the last running sum is minus the first entry; and
+    # the filter's fast form agrees with the definition.
+    for p in (1, 2, 3, 4):
+        for perm in itertools.permutations(range(2 * p)):
+            by_exponents = all(e >= p for e in direct_exponents(perm, p))
+            assert (perm[0] == 0 and by_exponents) == by_exponents
             assert is_contributing(perm, p) == by_exponents
+            assert permutations._contributes(perm, p) == by_exponents
+            assert suffix_partial_sums(perm, p)[-1] == -perm[0]
 
 
 def test_suffix_sums_are_exponents_shifted_by_p():
